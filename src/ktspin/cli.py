@@ -26,6 +26,7 @@ from .energy import (
     energy_estimate,
     energy_series,
     radius_estimate,
+    series_from_state,
 )
 from .errors import KtspinError
 from .kernel import MatrixElementQuery, matrix_element
@@ -62,18 +63,6 @@ def _emit(payload, as_json, order=None):
     keys = order if order is not None else list(payload)
     for key in keys:
         print(f"{key} = {payload[key]}")
-
-
-def _resolve_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("KT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise KtspinError(f"KT_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _require_finite(name, value):
@@ -128,9 +117,9 @@ def _cmd_info(args):
 
 def _run_series(args, model):
     order = _pick_order(args, model)
-    series = energy_series(model, order, threshold=args.threshold)
+    state = solve(model, max(order - 1, 1), args.threshold)
+    series = series_from_state(state, order)
     if args.dump_coefficients:
-        state = solve(model, max(order - 1, 1), args.threshold)
         with open(args.dump_coefficients, "w") as fh:
             dump_coefficients(state.table, fh)
     return order, series
@@ -326,13 +315,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("model", help="path to a model JSON file")
     common.add_argument("--json", action="store_true", help="emit one JSON object")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count (falls back to KT_THREADS, then all cores); "
-        "execution is currently sequential and deterministic regardless",
-    )
 
     orderable = argparse.ArgumentParser(add_help=False)
     group = orderable.add_mutually_exclusive_group(required=True)
@@ -386,7 +368,6 @@ def _build_parser():
     p_verify.add_argument("--max-qubits", type=int, default=8)
     p_verify.add_argument("--seeds", type=int, default=3)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -395,7 +376,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(getattr(args, "threads", None))
         return args.func(args)
     except KtspinError as exc:
         print(f"error: {exc}", file=sys.stderr)

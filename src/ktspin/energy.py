@@ -128,7 +128,12 @@ def energy_series(model, order, threshold=0.0):
     if order < 1:
         raise NonPositivePrecision(f"series order must be >= 1, got {order}")
     model.validate()
-    state = solve(model, max(order - 1, 1), threshold)
+    return series_from_state(solve(model, max(order - 1, 1), threshold), order)
+
+
+def series_from_state(state, order):
+    """Collect E_1..E_order from a state solved to at least order - 1."""
+    model = state.model
     coefficients = [energy_coefficient(state, q) for q in range(1, order + 1)]
     return EnergySeries(
         coefficients=coefficients,

@@ -11,6 +11,7 @@ amplitude connecting configuration ``col`` to ``row``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -141,7 +142,8 @@ class SpinModel:
     def validate(self):
         """Check structural invariants and cache derived quantities.
 
-        Raises NonPositiveGap, DanglingVertexId or SelfLoop on bad input.
+        Raises NonPositiveGap, ParseError (non-finite field),
+        DanglingVertexId or SelfLoop on bad input.
         Returns self so calls can be chained.
         """
         if self._derived is not None:
@@ -152,6 +154,8 @@ class SpinModel:
             raise DanglingVertexId(f"vertex ids must be exactly 0..{n - 1} with no gaps")
         deltas = [0.0] * n
         for v in self.vertices:
+            if not math.isfinite(v.delta):
+                raise ParseError(f"vertex {v.id} has non-finite field {v.delta}")
             if not (v.delta > 0):
                 raise NonPositiveGap(f"vertex {v.id} has non-positive field {v.delta}")
             deltas[v.id] = float(v.delta)

@@ -27,27 +27,6 @@ def excitation_energy(members, deltas):
     return sum(deltas[w] for w in members)
 
 
-def merge_disjoint(a, b):
-    """Merge two disjoint strictly increasing tuples into one."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 class CoefficientTable:
     """Sparse table of per-order set coefficients with per-vertex bins."""
 

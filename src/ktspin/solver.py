@@ -21,7 +21,6 @@ from .scalars import scalar_abs
 from .setalg import (
     CoefficientTable,
     bin_candidates,
-    merge_disjoint,
     one_norm,
     table_insert,
 )
@@ -75,10 +74,15 @@ def _prepare_terms(model):
 
 
 def _freeze_order(state, acc, order):
-    """Divide accumulated numerators by excitation energies and store them."""
+    """Divide accumulated numerators by excitation energies and store them.
+
+    ``acc`` maps vertex bitmasks to numerators; each stored set becomes a
+    strictly increasing tuple here, once.
+    """
     table = state.table
     threshold = state.threshold
-    for members, numerator in acc.items():
+    for mask, numerator in acc.items():
+        members = _mask_members(mask)
         value = numerator / state.excitation_energy(members)
         if value == 0:
             continue
@@ -87,25 +91,34 @@ def _freeze_order(state, acc, order):
         table_insert(table, order, members, value)
     state.current_order = order
     state.norms.append(one_norm(table, order))
-    _extend_pools(state, order)
+
+
+def _mask_members(mask):
+    """Strictly increasing tuple of the vertex ids set in a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _extend_pools(state, order):
-    """Append the new order's candidate records to every edge pool.
+    """Append the given order's candidate records to every edge pool.
 
-    A record is (order, outside bitmask, outside tuple, edge bits, value);
-    pools stay sorted by order because orders are appended in sequence.
+    A record is (order, outside bitmask, edge bits, value); pools stay
+    sorted by order because orders are appended in sequence.
     """
     table = state.table
     for idx, (u, v, _entries) in enumerate(state.terms):
         pool = state._pools[idx]
         for members, value in bin_candidates(table, u, v, order):
             sb = (2 if u in members else 0) | (1 if v in members else 0)
-            out = tuple(w for w in members if w != u and w != v)
             mask = 0
-            for w in out:
-                mask |= 1 << w
-            pool.append((order, mask, out, sb, value))
+            for w in members:
+                if w != u and w != v:
+                    mask |= 1 << w
+            pool.append((order, mask, sb, value))
 
 
 def first_order(model, threshold=0.0):
@@ -120,21 +133,26 @@ def _first_order_into(state):
     acc = {}
     for u, v, entries in state.terms:
         pair_sets = (
-            ((v,), entries[1][0]),
-            ((u,), entries[2][0]),
-            ((u, v) if u < v else (v, u), entries[3][0]),
+            (1 << v, entries[1][0]),
+            (1 << u, entries[2][0]),
+            ((1 << u) | (1 << v), entries[3][0]),
         )
-        for members, value in pair_sets:
+        for mask, value in pair_sets:
             if value != 0:
-                prev = acc.get(members)
-                acc[members] = value if prev is None else prev + value
+                prev = acc.get(mask)
+                acc[mask] = value if prev is None else prev + value
     _freeze_order(state, acc, 1)
     return state
 
 
 def advance_order(state):
-    """Extend the table by one order from the already stored ones."""
+    """Extend the table by one order from the already stored ones.
+
+    The pools receive the newest stored order here rather than when it is
+    frozen, so the order a solve stops at never builds records.
+    """
     budget = state.current_order
+    _extend_pools(state, budget)
     acc = {}
     for idx, (u, v, entries) in enumerate(state.terms):
         pool = state._pools[idx]
@@ -142,7 +160,7 @@ def advance_order(state):
             continue
         mecache = state._mecaches[idx]
         npool = len(pool)
-        bit_sets = (None, (v,), (u,), (u, v) if u < v else (v, u))
+        bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
 
         def emit(sbits, coeff, denom, outside):
             key = sbits if len(sbits) == 1 else tuple(sorted(sbits))
@@ -159,22 +177,22 @@ def advance_order(state):
                         continue
                     target = outside
                 else:
-                    target = merge_disjoint(outside, bit_sets[s])
+                    target = outside | bit_masks[s]
                 contrib = weight * me
                 if contrib != 0:
                     prev = acc.get(target)
                     acc[target] = contrib if prev is None else prev + contrib
 
-        def grow(start, remaining, used, outside, sbits, coeff, denom, last, run):
+        def grow(start, remaining, outside, sbits, coeff, denom, last, run):
             for i in range(start, npool):
                 item = pool[i]
                 order = item[0]
                 if order > remaining:
                     break
                 mask = item[1]
-                if mask & used:
+                if mask & outside:
                     continue
-                coeff2 = coeff * item[4]
+                coeff2 = coeff * item[3]
                 if i == last:
                     run2 = run + 1
                     denom2 = denom * run2
@@ -182,14 +200,14 @@ def advance_order(state):
                     run2 = 1
                     denom2 = denom
                 left = remaining - order
-                outside2 = merge_disjoint(outside, item[2]) if item[2] else outside
-                sbits2 = sbits + (item[3],)
+                outside2 = outside | mask
+                sbits2 = sbits + (item[2],)
                 if left == 0:
                     emit(sbits2, coeff2, denom2, outside2)
                 elif len(sbits2) < 4:
-                    grow(i, left, used | mask, outside2, sbits2, coeff2, denom2, i, run2)
+                    grow(i, left, outside2, sbits2, coeff2, denom2, i, run2)
 
-        grow(0, budget, 0, (), (), 1.0, 1, -1, 0)
+        grow(0, budget, 0, (), 1.0, 1, -1, 0)
     _freeze_order(state, acc, budget + 1)
     return state
 

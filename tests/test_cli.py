@@ -126,6 +126,34 @@ def test_series_dump_coefficients(capsys, tf_path, tmp_path):
     assert by_key[(5, (0,))] == -2.0
 
 
+def test_energy_dump_solves_once(capsys, tf_path, tmp_path, monkeypatch):
+    import ktspin.cli
+    import ktspin.energy
+    import ktspin.solver
+
+    calls = []
+    real_solve = ktspin.solver.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    for mod in (ktspin.solver, ktspin.energy, ktspin.cli):
+        if hasattr(mod, "solve"):
+            monkeypatch.setattr(mod, "solve", counted)
+    dump = tmp_path / "coeffs.jsonl"
+    code = main(
+        ["energy", tf_path, "--order", "6", "--epsilon", "1e-6", "--json",
+         "--dump-coefficients", str(dump)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+    # orders 1..p-1 are dumped; the single-flip model's even orders vanish
+    orders = {json.loads(line)["q"] for line in dump.read_text().splitlines()}
+    assert orders == {1, 3, 5}
+
+
 def test_correlate_json_document(capsys, tf_path):
     code, doc, err = run_json(
         capsys,
@@ -215,14 +243,6 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
         )
         == 2
     )
-    capsys.readouterr()
-
-
-def test_threads_env_must_be_integer(capsys, tf_path, monkeypatch):
-    monkeypatch.setenv("KT_THREADS", "many")
-    assert main(["info", tf_path, "--json"]) == 2
-    monkeypatch.setenv("KT_THREADS", "4")
-    assert main(["info", tf_path, "--json"]) == 0
     capsys.readouterr()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ def test_validate_rejects_bad_inputs():
         SpinModel(
             vertices=[Vertex(0, 1.0), Vertex(0, 1.0)], edges=[]
         ).validate()
+
+
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_is_rejected(tmp_path, delta):
+    with pytest.raises(ParseError):
+        make_model([1.0, delta], [])
+    # json writes and reads these as the Infinity / NaN literals
+    doc = model_to_dict(tf_edge_model())
+    doc["vertices"][0]["delta"] = delta
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_model(path)
 
 
 def test_derived_quantities():

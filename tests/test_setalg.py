@@ -13,7 +13,6 @@ from ktspin.setalg import (
     bin_candidates,
     dump_coefficients,
     excitation_energy,
-    merge_disjoint,
     one_norm,
     table_insert,
     table_lookup,
@@ -33,13 +32,6 @@ def test_excitation_energy_sums_fields():
     assert excitation_energy((1,), deltas) == pytest.approx(1.0)
     with pytest.raises(EmptySet):
         excitation_energy((), deltas)
-
-
-def test_merge_disjoint():
-    assert merge_disjoint((1, 4), (2, 3, 7)) == (1, 2, 3, 4, 7)
-    assert merge_disjoint((), (2,)) == (2,)
-    assert merge_disjoint((2,), ()) == (2,)
-    assert merge_disjoint((0,), (1,)) == (0, 1)
 
 
 def test_insert_lookup_and_counts():

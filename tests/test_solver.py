@@ -101,9 +101,8 @@ def test_reruns_are_identical(rng):
     assert a.norms == b.norms
 
 
-def test_dual_run_value_channel_matches_plain(rng):
-    m = random_model(rng, topology_pairs("path", 5), 5)
-    plain = solve(m, 4)
+def _dual_terms(m):
+    """Prepared terms with a derivative channel on the second edge."""
     terms = _prepare_terms(m)
     ru, rv, entries = terms[1]
     dual = [
@@ -111,7 +110,13 @@ def test_dual_run_value_channel_matches_plain(rng):
         for i in range(4)
     ]
     terms[1] = (ru, rv, tuple(tuple(row) for row in dual))
-    mixed = solve_prepared(m, terms, 4)
+    return terms
+
+
+def test_dual_run_value_channel_matches_plain(rng):
+    m = random_model(rng, topology_pairs("path", 5), 5)
+    plain = solve(m, 4)
+    mixed = solve_prepared(m, _dual_terms(m), 4)
     assert set(mixed.table.orders) == set(plain.table.orders)
     for q, omap in plain.table.orders.items():
         got = mixed.table.orders[q]
@@ -124,11 +129,23 @@ def test_dual_run_value_channel_matches_plain(rng):
 def test_advance_order_resumes_incrementally(rng):
     m = random_model(rng, topology_pairs("path", 4), 4)
     state = first_order(m)
-    advance_order(state)
-    advance_order(state)
-    assert state.current_order == 3
-    full = solve(m, 3)
+    for _ in range(3):
+        advance_order(state)
+    assert state.current_order == 4
+    full = solve(m, 4)
     assert state.table.orders == full.table.orders
+    assert state.norms == full.norms
+    # derivative-carrying entries resume the same way
+    terms = _dual_terms(m)
+    dual = solve_prepared(m, terms, 1)
+    for _ in range(3):
+        advance_order(dual)
+    full_dual = solve_prepared(m, terms, 4)
+    assert dual.table.orders == full_dual.table.orders
+    assert any(
+        isinstance(value, DualScalar) and value.der != 0
+        for value in dual.table.orders[4].values()
+    )
 
 
 def test_coefficients_match_exact_ground_state(rng):
