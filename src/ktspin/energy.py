@@ -112,7 +112,11 @@ def energy_coefficient(state, order):
 
 @dataclass
 class EnergySeries:
-    """Energy coefficients 1..order with the model snapshot they came from."""
+    """Energy coefficients 1..order with the model snapshot they came from.
+
+    ``dropped`` holds, per solved order, the (count, one-norm) of entries a
+    positive threshold left out of the table.
+    """
 
     coefficients: list
     order: int
@@ -121,6 +125,7 @@ class EnergySeries:
     eps0: float
     norms: list
     hermitian: bool
+    dropped: list
 
 
 def energy_series(model, order, threshold=0.0):
@@ -143,6 +148,7 @@ def series_from_state(state, order):
         eps0=model.eps0,
         norms=state.norms[: order - 1],
         hermitian=model.hermitian,
+        dropped=state.dropped[: order - 1],
     )
 
 
@@ -154,22 +160,26 @@ def truncation_bound(n, delta_min, order):
 def energy_estimate(series, eps):
     """Partial power sum and, when certified, its truncation bound.
 
-    Outside the guaranteed strength range the value is still returned,
-    the bound is None, and a UserWarning is emitted.
+    Outside the guaranteed strength range, or when a threshold dropped
+    coefficients from the solved table, the value is still returned, the
+    bound is None, and a UserWarning is emitted.
     """
     value = 0j
     power = 1.0
     for coeff in series.coefficients:
         power = power * eps
         value = value + coeff * power
-    if abs(eps) <= series.eps0:
+    count = sum(c for c, _norm in series.dropped)
+    if count:
+        reason = f"a threshold dropped {count} coefficients from the solved table"
+    elif abs(eps) > series.eps0:
+        reason = (
+            f"|epsilon| = {abs(eps):.3e} exceeds the certified threshold "
+            f"{series.eps0:.3e}"
+        )
+    else:
         return value, truncation_bound(series.n, series.Delta, series.order)
-    warnings.warn(
-        f"|epsilon| = {abs(eps):.3e} exceeds the certified threshold "
-        f"{series.eps0:.3e}; no rigorous bound attached",
-        UserWarning,
-        stacklevel=2,
-    )
+    warnings.warn(f"{reason}; no rigorous bound attached", UserWarning, stacklevel=2)
     return value, None
 
 

@@ -7,6 +7,14 @@ commutator ``[A_1, [A_2, ... [A_k, V]]]`` (``A_j`` the creation operator of
 ``V`` and the rest moved right, with a sign flip per right placement.  Only
 the edge bits of each set interact with ``V``; the parts outside the edge
 must reproduce the target configuration exactly.
+
+Creation operators commute, so the result depends only on the multiset of
+edge-bit patterns (1 = second endpoint only, 2 = first endpoint only, 3 =
+both).  For every operator it vanishes identically unless that multiset is
+a single, a pair, {1, 1, 2}, {1, 2, 2} or {1, 1, 2, 2}: in the 22 other
+multisets of size three or four, each target entry receives a single
+operator entry with signs that sum to zero.  ``solver.LIVE`` records this
+rule and the solver enumerates only those tuples.
 """
 
 from __future__ import annotations

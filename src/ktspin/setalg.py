@@ -9,7 +9,7 @@ reproducible iteration order.
 
 from __future__ import annotations
 
-import json
+from math import isfinite
 
 from .errors import EmptySet
 from .scalars import derivative_part, scalar_abs, value_part
@@ -108,6 +108,12 @@ def one_norm(table, order):
     return best
 
 
+# json.dumps(..., separators=(", ", ": ")) of {"q", "M", "re", "im"}; str()
+# spells a finite float as json does, and _NONFINITE covers the rest
+_LINE = '{"q": %d, "M": [%s], "re": %s, "im": %s}\n'
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def dump_coefficients(table, fh, derivative=False):
     """Write one JSON object per entry, sorted by (order, set).
 
@@ -119,6 +125,8 @@ def dump_coefficients(table, fh, derivative=False):
         omap = table.orders[order]
         for members in sorted(omap):
             val = part(omap[members])
-            line = {"q": order, "M": list(members), "re": val.real, "im": val.imag}
-            fh.write(json.dumps(line, separators=(", ", ": ")))
-            fh.write("\n")
+            real, imag = val.real, val.imag
+            if not (isfinite(real) and isfinite(imag)):
+                real = _NONFINITE.get(str(real), real)
+                imag = _NONFINITE.get(str(imag), imag)
+            fh.write(_LINE % (order, ", ".join(map(str, members)), real, imag))

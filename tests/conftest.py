@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ktspin import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
 from ktspin.model import parse_pauli_expression
+
+# reproducible property tests: fixed example sequence, no example database
+settings.register_profile(
+    "ktspin", derandomize=True, deadline=None, database=None, max_examples=40
+)
+settings.load_profile("ktspin")
+# even without a database, hypothesis caches constants read from the
+# source at collection; a directory removed at exit keeps the checkout clean
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="ktspin-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def make_model(deltas, edge_specs):

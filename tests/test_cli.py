@@ -85,6 +85,18 @@ def test_energy_warns_and_strict_fails_outside_threshold(capsys, tf_path):
     assert code2 == 3
 
 
+def test_energy_threshold_drop_has_no_bound_and_strict_exits_3(capsys, tf_path):
+    argv = ["energy", tf_path, "--order", "4", "--epsilon", "1e-6", "--json"]
+    code, doc, err = run_json(capsys, argv)
+    assert (code, doc["bound"], err) == (0, 2.0 * 2.0**-20, "")
+    code, doc, err = run_json(capsys, argv + ["--threshold", "10"])
+    assert code == 0
+    assert doc["bound"] is None
+    assert "dropped" in err
+    assert main(argv + ["--threshold", "10", "--strict"]) == 3
+    capsys.readouterr()
+
+
 def test_precision_selects_same_output_as_explicit_order(capsys, tf_path):
     # precision 1e-9 on n=2, Delta=1: first p with 2 * 2^(-16-p) <= 1e-9
     code, by_prec, _ = run_json(

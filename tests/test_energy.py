@@ -86,6 +86,21 @@ def test_estimate_tracks_exact_energy():
     assert value.real == pytest.approx(tf_exact_energy(0.05), abs=1e-9)
 
 
+def test_threshold_drop_withdraws_the_bound():
+    # threshold 10 drops every entry of the single-flip model, so the
+    # truncated series is no longer the one the certificate is about
+    eps = 1e-6
+    exact = energy_series(tf_edge_model(), 4)
+    assert energy_estimate(exact, eps)[1] == truncation_bound(2, 1.0, 4)
+    series = energy_series(tf_edge_model(), 4, threshold=10)
+    assert series.dropped == [(2, 1.0), (0, 0.0), (0, 0.0)]
+    with pytest.warns(UserWarning, match="dropped 2 coefficients"):
+        value, bound = energy_estimate(series, eps)
+    assert bound is None
+    # only E_1 = 0 survives; the unthresholded series gives about -2e-12
+    assert value == 0
+
+
 def test_estimate_matches_diagonalization(rng):
     for pairs, n in [
         (topology_pairs("path", 5), 5),

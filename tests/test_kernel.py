@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ktspin import EmptySet, InvalidSubset
+from ktspin import EmptySet, InvalidSubset, solver
 from ktspin.kernel import (
     MatrixElementQuery,
     matrix_element,
@@ -141,3 +141,54 @@ def test_kernel_matches_dense_commutators(rng):
                 assert got == pytest.approx(want, abs=1e-12)
                 checked += 1
     assert checked > 100
+
+
+def _unit_matrices():
+    """The 16 exact integer 4x4 matrices with a single entry 1."""
+    return [
+        [[int(i == r and j == c) for j in range(4)] for i in range(4)]
+        for r in range(4)
+        for c in range(4)
+    ]
+
+
+def test_live_multisets_are_exactly_the_nonzero_commutators():
+    # by linearity a tuple's commutator vanishes for every operator iff it
+    # vanishes on every unit matrix; integer entries make that exact
+    units = _unit_matrices()
+    seen = set()
+    for k in range(1, 5):
+        for sbits in itertools.product((1, 2, 3), repeat=k):
+            code = solver._code(sbits)
+            nonzero = any(target_matrix_elements(sbits, unit) for unit in units)
+            assert nonzero == solver.LIVE[code], sbits
+            if nonzero:
+                seen.add(tuple(sorted(sbits)))
+    assert len(seen) == 12
+    assert sum(solver.LIVE) == 12
+
+
+def test_grows_marks_strict_sub_multisets_of_live_ones():
+    def counts(code):
+        return (code % 5, code // 5 % 5, code // 25)
+
+    for code in range(125):
+        below = [
+            other
+            for other in range(125)
+            if solver.LIVE[other]
+            and other != code
+            and all(a <= b for a, b in zip(counts(code), counts(other)))
+        ]
+        assert solver.GROWS[code] == bool(below), code
+
+
+def test_dead_multisets_vanish_on_random_non_hermitian_entries(rng):
+    for _ in range(20):
+        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mat[rng.random((4, 4)) < 0.3] = 0
+        entries = mat.tolist()
+        for k in range(1, 5):
+            for sbits in itertools.product((1, 2, 3), repeat=k):
+                if not solver.LIVE[solver._code(sbits)]:
+                    assert target_matrix_elements(sbits, entries) == {}, sbits

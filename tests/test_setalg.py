@@ -8,6 +8,7 @@ import json
 import pytest
 
 from ktspin import DualScalar, EmptySet
+from ktspin.scalars import derivative_part, value_part
 from ktspin.setalg import (
     CoefficientTable,
     bin_candidates,
@@ -119,3 +120,31 @@ def test_dump_coefficients_sorted_jsonl():
     dlines = [json.loads(line) for line in deriv.getvalue().splitlines()]
     assert dlines[0]["re"] == -7.0
     assert dlines[1]["re"] == 0.0
+
+
+def _json_lines(table, derivative):
+    part = derivative_part if derivative else value_part
+    out = []
+    for order in sorted(table.orders):
+        for members in sorted(table.orders[order]):
+            val = part(table.orders[order][members])
+            line = {"q": order, "M": list(members), "re": val.real, "im": val.imag}
+            out.append(json.dumps(line, separators=(", ", ": ")) + "\n")
+    return "".join(out)
+
+
+def test_dump_coefficients_matches_json_spelling():
+    t = CoefficientTable()
+    table_insert(t, 1, (0,), complex(-0.0, 5e-324))
+    table_insert(t, 1, (3, 17), complex(1e300, -2.5e-308))
+    table_insert(t, 2, (1,), complex(-1.7976931348623157e308, 0.1))
+    table_insert(t, 2, (0, 1, 2), DualScalar(1e-320 + 0j, complex(-0.0, 3e299)))
+    table_insert(t, 3, (4,), DualScalar(0.0, complex(1 / 3, -1e-300)))
+    table_insert(t, 3, (2, 5), complex(float("nan"), float("inf")))
+    table_insert(t, 4, (9,), complex(-float("inf"), -0.0))
+    for derivative in (False, True):
+        buf = io.StringIO()
+        dump_coefficients(t, buf, derivative=derivative)
+        assert buf.getvalue() == _json_lines(t, derivative)
+    assert '"re": -0.0, "im": 5e-324' in _json_lines(t, False)
+    assert '"re": NaN, "im": Infinity' in _json_lines(t, False)

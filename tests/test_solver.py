@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ktspin import DualScalar, solve
 from ktspin.clusters import AdjacencyGraph, connected_size
@@ -65,9 +69,12 @@ def test_solve_rejects_bad_order():
 
 
 def test_threshold_drops_small_entries():
+    assert solve(tf_edge_model(), 3).dropped == [(0, 0.0)] * 3
     state = solve(tf_edge_model(), 3, threshold=1.1)
     # |C_1| = 1 < 1.1 is dropped, so nothing can seed the higher orders
     assert state.table.entry_count() == 0
+    # both singletons go at order 1, each the only set on its vertex
+    assert state.dropped == [(2, 1.0), (0, 0.0), (0, 0.0)]
 
 
 def test_norms_track_one_norm(rng):
@@ -165,3 +172,59 @@ def test_coefficients_match_exact_ground_state(rng):
     tol = 50 * scale * eps
     for members in set(predicted) | set(extracted):
         assert abs(predicted.get(members, 0j) - extracted.get(members, 0j)) <= tol
+
+
+def test_solve_leaves_no_reference_cycles(rng):
+    # each order's work must be freed on return, not left for the collector
+    m = random_model(rng, topology_pairs("ring", 5), 5)
+    gc.collect()
+    gc.disable()
+    try:
+        state = solve(m, 4)
+        del state
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def small_connected_models(draw):
+    """Connected graphs on 2-5 qubits with small-integer edge operators.
+
+    The entries include exact zeros.  Non-Hermitian operators are real, so
+    the ground energy stays real and the oracle's eigensolver applies.
+    """
+    n = draw(st.integers(2, 5))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in pairs]
+    if others:
+        pairs += draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    hermitian = draw(st.booleans())
+    ints = st.lists(st.integers(-2, 2), min_size=16, max_size=16)
+    specs = []
+    for a, b in pairs:
+        mat = np.array(draw(ints), dtype=complex).reshape(4, 4)
+        if hermitian:
+            mat = mat + 1j * np.array(draw(ints)).reshape(4, 4)
+            mat = (mat + mat.conj().T) / 2
+        mat /= max(1.0, np.linalg.svd(mat, compute_uv=False)[0])
+        u, v = (b, a) if draw(st.booleans()) else (a, b)
+        specs.append((u, v, mat))
+    deltas = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return make_model(deltas, specs)
+
+
+@given(small_connected_models())
+def test_coefficients_match_exact_ground_state_on_random_models(m):
+    # at eps = 1e-2 every order up to about 5 shows above the 1e-11
+    # tolerance, and the order-10 truncation error stays far below it
+    order = 10
+    eps = 1e-2
+    state = solve(m, order)
+    extracted = extract_creation_coefficients(ground(m, eps).state)
+    predicted = {}
+    for q in range(1, order + 1):
+        for members, value in state.table.orders.get(q, {}).items():
+            predicted[members] = predicted.get(members, 0j) + value * eps**q
+    for members in set(predicted) | set(extracted):
+        assert abs(predicted.get(members, 0j) - extracted.get(members, 0j)) <= 1e-11
