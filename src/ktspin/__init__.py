@@ -51,7 +51,7 @@ from .response import (
     restrict_neighborhood,
 )
 from .scalars import DualScalar, derivative_part, scalar_abs, value_part
-from .solver import SolverState, advance_order, first_order, solve
+from .solver import SolverState, advance_order, solve
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "energy_coefficient",
     "energy_estimate",
     "energy_series",
-    "first_order",
     "load_model",
     "model_from_dict",
     "model_to_dict",

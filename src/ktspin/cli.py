@@ -29,7 +29,7 @@ from .energy import (
     series_from_state,
 )
 from .errors import KtspinError
-from .kernel import MatrixElementQuery, matrix_element
+from .kernel import matrix_element
 from .model import (
     EdgeTerm,
     SpinModel,
@@ -220,7 +220,7 @@ def _random_verify_model(rng, n, ring):
         herm = (raw + raw.conj().T) / 2.0
         herm /= np.linalg.svd(herm, compute_uv=False)[0]
         edges.append(EdgeTerm(u=u, v=v, op=TwoQubitOperator(herm)))
-    return SpinModel(vertices=vertices, edges=edges).validate()
+    return SpinModel(vertices=vertices, edges=edges)
 
 
 def _verify_checks(max_qubits, seeds):
@@ -242,7 +242,7 @@ def _verify_checks(max_qubits, seeds):
                 sets.append(tuple(sorted(rng.choice(small.n, size=size, replace=False))))
             size = int(rng.integers(1, 4))
             target = tuple(sorted(rng.choice(small.n, size=size, replace=False)))
-            fast = matrix_element(MatrixElementQuery(target, tuple(sets), edge))
+            fast = matrix_element(target, sets, edge)
             slow = oracle.dense_matrix_element(target, sets, edge, small.n)
             worst = max(worst, abs(fast - slow))
         yield (f"kernel-vs-dense seed {seed}", worst <= 1e-12, f"max dev {worst:.2e}")

@@ -33,7 +33,6 @@ class AdjacencyGraph:
 
     @classmethod
     def from_model(cls, model):
-        model.validate()
         return cls(model.n, [(e.u, e.v) for e in model.edges])
 
     def degree(self):

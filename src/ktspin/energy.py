@@ -1,40 +1,51 @@
 """Energy series coefficients, truncation bounds, and order selection.
 
-The order-p energy coefficient combines stored coefficient tables of
-total order p-1 against each edge: tuples of one to four stored sets,
-each a nonempty subset of the edge's endpoints, weighted 1/k! over
-ordered tuples, times the vacuum element of the fully right-placed
-commutator term.  Tuples of three or more sets cannot be disjoint inside
-a single edge, so only one- and two-set tuples survive; the loop asserts
-that on the fly.
+E_1 sums the vacuum-to-vacuum entry ``entries[0][0]`` of every edge
+term.  For order p > 1 the coefficient reads the stored tables of total
+order p-1 against each edge's vacuum row.  Only nonempty subsets of an
+edge's endpoints contribute, and no three of them are disjoint, so
+every term is one of:
+
+- a single set ``(v,)``, ``(u,)`` or ``(u, v)`` at order p-1, times
+  ``-entries[0][bits]`` with ``bits`` its edge-bit pattern;
+- the two singletons ``(v,)`` at order a and ``(u,)`` at order p-1-a,
+  in either order, times ``entries[0][3] / 2``, for a = 1..p-2.
+
+Terms are summed edge by edge in that order, and the value and
+derivative channels accumulate separately.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from math import factorial
 
 from .errors import NonPositiveGap, NonPositivePrecision
 from .scalars import DualScalar, derivative_part, value_part
 from .setalg import table_lookup
 from .solver import solve
 
-_INV_FACT = tuple(1.0 / factorial(k) for k in range(5))
 
-
-@lru_cache(maxsize=None)
-def _compositions(total, parts):
-    """Ordered tuples of positive integers with the given sum, lexicographic."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+def _edge_contributions(table, terms, top):
+    """Nonzero terms of the order top+1 coefficient, in summation order."""
+    for u, v, entries in terms:
+        pair = (u, v) if u < v else (v, u)
+        for members, bits in (((v,), 1), ((u,), 2), (pair, 3)):
+            vac = entries[0][bits]
+            if vac != 0:
+                c = table_lookup(table, top, members)
+                if c != 0:
+                    yield (c * vac) * (-1.0)
+        vac = entries[0][3]
+        if vac == 0:
+            continue
+        for a in range(1, top):
+            for first, second in (((v,), (u,)), ((u,), (v,))):
+                c1 = table_lookup(table, a, first)
+                if c1 != 0:
+                    c2 = table_lookup(table, top - a, second)
+                    if c2 != 0:
+                        yield (c1 * c2) * vac * 0.5
 
 
 def energy_coefficient(state, order):
@@ -50,61 +61,19 @@ def energy_coefficient(state, order):
             f"state holds orders up to {state.current_order}, "
             f"but order {order} needs {order - 1}"
         )
+    if order == 1:
+        contribs = (entries[0][0] for _u, _v, entries in state.terms)
+    else:
+        contribs = _edge_contributions(state.table, state.terms, order - 1)
     val_acc = 0j
     der_acc = 0j
-    if order == 1:
-        for _u, _v, entries in state.terms:
-            cell = entries[0][0]
-            cv = value_part(cell)
-            cd = derivative_part(cell)
-            if cv != 0:
-                val_acc += cv
-            if cd != 0:
-                der_acc += cd
-        if der_acc == 0:
-            return val_acc
-        return DualScalar(val_acc, der_acc)
-
-    table = state.table
-    for u, v, entries in state.terms:
-        pair = (u, v) if u < v else (v, u)
-        subsets = (((v,), 1), ((u,), 2), (pair, 3))
-        for k in range(1, 5):
-            inv_fact = _INV_FACT[k]
-            sign = -1.0 if k & 1 else 1.0
-            for comp in _compositions(order - 1, k):
-                for chosen in product(subsets, repeat=k):
-                    bits = 0
-                    disjoint = True
-                    for _members, sb in chosen:
-                        if bits & sb:
-                            disjoint = False
-                            break
-                        bits |= sb
-                    if k >= 3:
-                        # no three nonempty subsets of a pair are disjoint
-                        assert not disjoint
-                    if not disjoint:
-                        continue
-                    vac = entries[0][bits]
-                    if vac == 0:
-                        continue
-                    coeff_prod = None
-                    for j in range(k):
-                        cj = table_lookup(table, comp[j], chosen[j][0])
-                        if cj == 0:
-                            coeff_prod = None
-                            break
-                        coeff_prod = cj if coeff_prod is None else coeff_prod * cj
-                    if coeff_prod is None:
-                        continue
-                    contrib = coeff_prod * vac * (sign * inv_fact)
-                    cv = value_part(contrib)
-                    cd = derivative_part(contrib)
-                    if cv != 0:
-                        val_acc += cv
-                    if cd != 0:
-                        der_acc += cd
+    for contrib in contribs:
+        cv = value_part(contrib)
+        cd = derivative_part(contrib)
+        if cv != 0:
+            val_acc += cv
+        if cd != 0:
+            der_acc += cd
     if der_acc == 0:
         return val_acc
     return DualScalar(val_acc, der_acc)
@@ -132,7 +101,6 @@ def energy_series(model, order, threshold=0.0):
     """Solve to the needed order and collect E_1..E_order."""
     if order < 1:
         raise NonPositivePrecision(f"series order must be >= 1, got {order}")
-    model.validate()
     return series_from_state(solve(model, max(order - 1, 1), threshold), order)
 
 

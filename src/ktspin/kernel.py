@@ -15,13 +15,15 @@ a single, a pair, {1, 1, 2}, {1, 2, 2} or {1, 1, 2, 2}: in the 22 other
 multisets of size three or four, each target entry receives a single
 operator entry with signs that sum to zero.  ``solver.LIVE`` records this
 rule and the solver enumerates only those tuples.
+
+``target_matrix_elements`` is what the solver calls; ``matrix_element``
+answers one query ``(target, sets, edge)`` in the argument order of the
+independent dense check ``oracle.dense_matrix_element``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import EmptySet, InvalidSubset
+from .errors import EmptySet
 
 # subsets of each 2-bit mask, used to enumerate target bit patterns
 _SUBSETS_OF = ((0,), (0, 1), (0, 2), (0, 1, 2, 3))
@@ -69,95 +71,32 @@ def target_matrix_elements(sbits, entries):
     return {s: out[s] for s in range(4) if out[s] != 0}
 
 
-def _edge_bits(members, u, v):
-    return (2 if u in members else 0) | (1 if v in members else 0)
+def matrix_element(target, sets, edge):
+    """Exact <target| [A_1, [A_2, ... [A_k, V]]] |vacuum> for the edge term V.
 
-
-@dataclass(frozen=True)
-class MatrixElementQuery:
-    """A target set, a tuple of creation sets, and the edge term they act on."""
-
-    target: tuple
-    sets: tuple
-    edge: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", tuple(self.target))
-        object.__setattr__(self, "sets", tuple(tuple(m) for m in self.sets))
-        for members in self.sets:
-            if not members:
-                raise EmptySet("creation sets must be nonempty")
-
-
-def prune(query):
-    """True when the query is structurally zero, decided without arithmetic.
-
-    Either some creation set misses the edge entirely, or the union of the
-    creation sets differs from the target anywhere outside the edge, or the
-    target contains vertices not reachable from the union and the edge.
+    ``A_j`` is the creation operator of the nonempty vertex set ``sets[j]``;
+    the argument order matches ``oracle.dense_matrix_element``.  Returns
+    exact complex zero, without arithmetic, when a set misses the edge,
+    when two sets overlap outside the edge, or when the target differs
+    from their union outside the edge; with five or more sets the result
+    is always zero.
     """
-    u, v = query.edge.u, query.edge.v
-    union = set()
-    for members in query.sets:
-        if _edge_bits(members, u, v) == 0:
-            return True
-        union.update(members)
-    target = set(query.target)
-    if not (union - {u, v}) <= target:
-        return True
-    if not target <= (union | {u, v}):
-        return True
-    return False
-
-
-def matrix_element(query):
-    """Exact matrix element of the nested commutator against the target.
-
-    Returns exact complex zero for every pruned or structurally vanishing
-    query; with five or more creation sets the result is always zero.
-    """
-    if prune(query):
-        return 0j
-    u, v = query.edge.u, query.edge.v
+    if not all(sets):
+        raise EmptySet("creation sets must be nonempty")
+    u, v = edge.u, edge.v
     sbits = []
     outside = set()
-    for members in query.sets:
-        sbits.append(_edge_bits(members, u, v))
-        for w in members:
-            if w == u or w == v:
-                continue
-            if w in outside:
-                return 0j
-            outside.add(w)
-    target_out = {w for w in query.target if w != u and w != v}
-    if target_out != outside:
-        return 0j
-    table = target_matrix_elements(tuple(sbits), query.edge.op.entries)
-    value = table.get(_edge_bits(query.target, u, v), 0j)
-    return complex(value)
-
-
-def vacuum_element(sets, edge):
-    """Vacuum expectation of the fully right-placed commutator term.
-
-    Every creation set must be a nonempty subset of the edge; overlapping
-    sets give exact zero.  Equals ``matrix_element`` with an empty target.
-    """
-    u, v = edge.u, edge.v
-    bits = 0
     for members in sets:
-        if not members:
-            raise InvalidSubset("vacuum element needs nonempty creation sets")
-        sb = 0
-        for w in members:
-            if w == u:
-                sb |= 2
-            elif w == v:
-                sb |= 1
-            else:
-                raise InvalidSubset(f"vertex {w} is not an endpoint of edge ({u}, {v})")
-        if bits & sb:
+        sb = (2 if u in members else 0) | (1 if v in members else 0)
+        if sb == 0:
             return 0j
-        bits |= sb
-    value = complex(edge.op.entries[0][bits])
-    return -value if len(sets) & 1 else value
+        sbits.append(sb)
+        for w in members:
+            if w != u and w != v:
+                if w in outside:
+                    return 0j
+                outside.add(w)
+    if {w for w in target if w != u and w != v} != outside:
+        return 0j
+    tbits = (2 if u in target else 0) | (1 if v in target else 0)
+    return complex(target_matrix_elements(tuple(sbits), edge.op.entries).get(tbits, 0j))

@@ -114,7 +114,7 @@ class TwoQubitOperator:
         return f"TwoQubitOperator({self.entries.tolist()!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vertex:
     """Graph vertex with the field strength penalizing its excited state."""
 
@@ -122,7 +122,7 @@ class Vertex:
     delta: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeTerm:
     """Perturbation term acting on the ordered vertex pair (u, v)."""
 
@@ -131,36 +131,49 @@ class EdgeTerm:
     op: TwoQubitOperator
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpinModel:
-    """Validated spin model; derived quantities are cached by validate()."""
+    """Immutable, validated spin model.
 
-    vertices: list
-    edges: list
-    _derived: dict = field(default=None, repr=False, compare=False)
+    Construction stores ``vertices`` and ``edges`` as tuples, checks them
+    and computes the derived fields once.  Nothing can change either
+    afterwards, so the thresholds derived from them always describe the
+    model as given:
 
-    def validate(self):
-        """Check structural invariants and cache derived quantities.
+    - ``deltas``: field strength per vertex id;
+    - ``Delta``: the smallest field strength;
+    - ``J``: the largest spectral norm over all edge operators;
+    - ``d``: the largest number of incident edges, counted with multiplicity;
+    - ``hermitian``: whether every edge operator is Hermitian.
 
-        Raises NonPositiveGap, ParseError (non-finite field),
-        DanglingVertexId or SelfLoop on bad input.
-        Returns self so calls can be chained.
-        """
-        if self._derived is not None:
-            return self
-        n = len(self.vertices)
-        ids = [v.id for v in self.vertices]
+    Raises NonPositiveGap, ParseError (non-finite field), DanglingVertexId
+    or SelfLoop on bad input.
+    """
+
+    vertices: tuple
+    edges: tuple
+    deltas: tuple = field(init=False, repr=False)
+    Delta: float = field(init=False, repr=False)
+    J: float = field(init=False, repr=False)
+    d: int = field(init=False, repr=False)
+    hermitian: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        vertices = tuple(self.vertices)
+        edges = tuple(self.edges)
+        n = len(vertices)
+        ids = [v.id for v in vertices]
         if sorted(ids) != list(range(n)):
             raise DanglingVertexId(f"vertex ids must be exactly 0..{n - 1} with no gaps")
         deltas = [0.0] * n
-        for v in self.vertices:
+        for v in vertices:
             if not math.isfinite(v.delta):
                 raise ParseError(f"vertex {v.id} has non-finite field {v.delta}")
             if not (v.delta > 0):
                 raise NonPositiveGap(f"vertex {v.id} has non-positive field {v.delta}")
             deltas[v.id] = float(v.delta)
         degree = [0] * n
-        for e in self.edges:
+        for e in edges:
             if e.u == e.v:
                 raise SelfLoop(f"edge ({e.u}, {e.v}) is a self-loop")
             for w in (e.u, e.v):
@@ -168,42 +181,21 @@ class SpinModel:
                     raise DanglingVertexId(f"edge endpoint {w} outside 0..{n - 1}")
             degree[e.u] += 1
             degree[e.v] += 1
-        j_max = max((e.op.norm() for e in self.edges), default=0.0)
-        self._derived = {
-            "deltas": deltas,
+        derived = {
+            "vertices": vertices,
+            "edges": edges,
+            "deltas": tuple(deltas),
             "Delta": min(deltas) if deltas else 0.0,
-            "J": j_max,
+            "J": max((e.op.norm() for e in edges), default=0.0),
             "d": max(degree) if degree else 0,
-            "hermitian": all(e.op.is_hermitian() for e in self.edges),
+            "hermitian": all(e.op.is_hermitian() for e in edges),
         }
-        return self
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return len(self.vertices)
-
-    @property
-    def deltas(self):
-        return self.validate()._derived["deltas"]
-
-    @property
-    def Delta(self):
-        """Smallest field strength over all vertices."""
-        return self.validate()._derived["Delta"]
-
-    @property
-    def J(self):
-        """Largest spectral norm over all edge operators."""
-        return self.validate()._derived["J"]
-
-    @property
-    def d(self):
-        """Largest number of incident edges, counted with multiplicity."""
-        return self.validate()._derived["d"]
-
-    @property
-    def hermitian(self):
-        return self.validate()._derived["hermitian"]
 
     @property
     def eps0(self):
@@ -256,7 +248,7 @@ def model_from_dict(data):
                 raise ParseError(f"edge ({u}, {v}) matrix must be 4x4 of [re, im] pairs") from None
             op = TwoQubitOperator(arr)
         edges.append(EdgeTerm(u=u, v=v, op=op))
-    return SpinModel(vertices=vertices, edges=edges).validate()
+    return SpinModel(vertices=vertices, edges=edges)
 
 
 def model_to_dict(model):

@@ -51,7 +51,6 @@ def _diagonal(model):
 
 def build_hamiltonian(model, eps, cap=QUBIT_CAP):
     """Dense 2^n x 2^n matrix of the full Hamiltonian at strength eps."""
-    model.validate()
     n = model.n
     _check_size(n, min(cap, 12))
     dim = 1 << n
@@ -123,7 +122,6 @@ def _norm_scale(model, eps):
 
 
 def _two_lowest(model, eps, cap):
-    model.validate()
     n = model.n
     _check_size(n, cap)
     if n <= _DENSE_LIMIT:
@@ -133,11 +131,13 @@ def _two_lowest(model, eps, cap):
             return vals[0], vals[1], vecs[:, 0]
         vals, vecs = np.linalg.eig(ham)
         order = np.argsort(vals.real, kind="stable")
-        return (
-            vals[order[0]].real,
-            vals[order[1]].real,
-            vecs[:, order[0]],
-        )
+        e0 = vals[order[0]]
+        # same tolerance as the residual check in ground()
+        if abs(e0.imag) > 1e-9 * max(1.0, _norm_scale(model, eps)):
+            raise ArithmeticError(
+                f"complex ground energy {e0:.6g} of a non-Hermitian model"
+            )
+        return e0.real, vals[order[1]].real, vecs[:, order[0]]
     ham = _sparse_hamiltonian(model, eps)
     dim = ham.shape[0]
     v0 = np.full(dim, 1e-3)
@@ -271,7 +271,6 @@ def numeric_series(model, order, radius=None, cap=QUBIT_CAP):
     the eigensolver's absolute accuracy; at very small radii they are
     large and honest.
     """
-    model.validate()
     _check_size(model.n, cap)
     r = radius if radius is not None else model.eps0 / 4.0
     if not np.isfinite(r) or r <= 0:

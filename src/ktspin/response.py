@@ -4,9 +4,10 @@ The expectation of a two-site observable in the ground state equals the
 derivative of the ground energy after adding the observable, scaled by
 the perturbation strength, as a parallel edge.  Running the solver over
 dual scalars (value plus derivative channel) computes that derivative
-exactly: the observable edge carries entries whose value channel is zero
-and whose derivative channel holds the observable, so every stored
-coefficient and energy coefficient carries its derivative along.
+exactly: ``solve(model, order, terms=...)`` takes the model's edge terms
+plus the observable edge, whose entries have a zero value channel and
+the observable in the derivative channel, so every stored coefficient
+and energy coefficient carries its derivative along.
 
 Correlators are local: restricting the model to a neighborhood of the
 two sites leaves the order-p answer unchanged, bit for bit, because the
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .model import SpinModel, TwoQubitOperator, Vertex
 from .scalars import DualScalar, derivative_part
-from .solver import _prepare_terms, solve_prepared
+from .solver import _prepare_terms, solve
 
 REGIME_CERTIFIED = "lemma9"
 REGIME_NONE = "none"
@@ -81,7 +82,6 @@ def restrict_neighborhood(model, s, t, order):
     the renumbering preserves the relative order of vertex ids, and kept
     edges keep their relative order and endpoint orientation.
     """
-    model.validate()
     n = model.n
     for w in (s, t):
         if not (0 <= w < n):
@@ -95,7 +95,7 @@ def restrict_neighborhood(model, s, t, order):
     for e in model.edges:
         if min(dist[e.u], dist[e.v]) <= order:
             edges.append(type(e)(u=mapping[e.u], v=mapping[e.v], op=e.op))
-    sub = SpinModel(vertices=vertices, edges=edges).validate()
+    sub = SpinModel(vertices=vertices, edges=edges)
     return sub, mapping
 
 
@@ -113,7 +113,6 @@ def correlator(model, query, restrict=True):
     model's edge-strength scale, and the result and bound are scaled
     back, so callers never see the rescaling.
     """
-    model.validate()
     n = model.n
     s, t = query.s, query.t
     for w in (s, t):
@@ -145,7 +144,7 @@ def correlator(model, query, restrict=True):
     else:
         terms = _prepare_terms(sub)
         terms.append((rs, rt, _dual_entries(run_matrix)))
-        state = solve_prepared(sub, terms, p)
+        state = solve(sub, p, terms=terms)
         ders = [derivative_part(energy_coefficient(state, q + 1)) for q in range(p + 1)]
 
     value = 0j

@@ -20,13 +20,6 @@ def vertex_set(members):
     return tuple(sorted(set(members)))
 
 
-def excitation_energy(members, deltas):
-    """Total field strength of the excited configuration: sum of deltas over the set."""
-    if not members:
-        raise EmptySet("excitation energy needs a nonempty vertex set")
-    return sum(deltas[w] for w in members)
-
-
 class CoefficientTable:
     """Sparse table of per-order set coefficients with per-vertex bins."""
 

@@ -3,9 +3,10 @@
 The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
-gives one coefficient table per order.  Order 1 reads matrix elements of
-the edge terms directly; each later order combines up to four
-lower-order sets against every edge through the commutator kernel.
+gives one coefficient table per order.  ``solve`` is the one entry
+point: order 1 reads matrix elements of the edge terms directly, and
+each later order (``advance_order``) combines up to four lower-order
+sets against every edge through the commutator kernel.
 
 Tuples of lower-order sets are enumerated as multisets in a fixed pool
 order with a 1/(multiplicity factorial) weight per repeated item, which
@@ -182,30 +183,6 @@ def _extend_pools(state, order):
             pool.append((order, mask, _W[sb], value))
 
 
-def first_order(model, threshold=0.0):
-    """Solver state holding the first-order coefficient table."""
-    model.validate()
-    state = SolverState(model, _prepare_terms(model), threshold)
-    _first_order_into(state)
-    return state
-
-
-def _first_order_into(state):
-    acc = {}
-    for u, v, entries in state.terms:
-        pair_sets = (
-            (1 << v, entries[1][0]),
-            (1 << u, entries[2][0]),
-            ((1 << u) | (1 << v), entries[3][0]),
-        )
-        for mask, value in pair_sets:
-            if value != 0:
-                prev = acc.get(mask)
-                acc[mask] = value if prev is None else prev + value
-    _freeze_order(state, acc, 1)
-    return state
-
-
 def _kernel_results(code, entries, bit_masks):
     """((target bit mask, matrix element), ...) for a multiset code, zeros omitted."""
     mes = target_matrix_elements(_code_bits(code), entries)
@@ -278,27 +255,31 @@ def advance_order(state):
     return state
 
 
-def solve(model, order, threshold=0.0):
-    """Coefficient tables for all orders 1..order."""
-    if order < 1:
-        raise ValueError("solve needs order >= 1")
-    state = first_order(model, threshold)
-    while state.current_order < order:
-        advance_order(state)
-    return state
+def solve(model, order, threshold=0.0, terms=None):
+    """Coefficient tables for all orders 1..order.
 
-
-def solve_prepared(model, terms, order, threshold=0.0):
-    """Like solve() but over externally prepared edge terms.
-
-    The entries may use any scalar type supporting ring arithmetic; this
-    is how derivative-carrying runs reuse the solver unchanged.
+    ``terms`` replaces the model's edge terms by (u, v, nested 4x4 entries)
+    triples whose entries may use any scalar type with ring arithmetic;
+    this is how derivative-carrying runs reuse the solver unchanged.
+    Order 1 reads the vacuum column of each edge term directly.
     """
     if order < 1:
         raise ValueError("solve needs order >= 1")
-    model.validate()
+    if terms is None:
+        terms = _prepare_terms(model)
     state = SolverState(model, terms, threshold)
-    _first_order_into(state)
+    acc = {}
+    for u, v, entries in state.terms:
+        pair_sets = (
+            (1 << v, entries[1][0]),
+            (1 << u, entries[2][0]),
+            ((1 << u) | (1 << v), entries[3][0]),
+        )
+        for mask, value in pair_sets:
+            if value != 0:
+                prev = acc.get(mask)
+                acc[mask] = value if prev is None else prev + value
+    _freeze_order(state, acc, 1)
     while state.current_order < order:
         advance_order(state)
     return state

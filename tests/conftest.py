@@ -27,7 +27,7 @@ def make_model(deltas, edge_specs):
     """Model from a list of field strengths and (u, v, matrix) triples."""
     vertices = [Vertex(id=i, delta=float(d)) for i, d in enumerate(deltas)]
     edges = [EdgeTerm(u=u, v=v, op=TwoQubitOperator(mat)) for u, v, mat in edge_specs]
-    return SpinModel(vertices=vertices, edges=edges).validate()
+    return SpinModel(vertices=vertices, edges=edges)
 
 
 def tf_edge_matrix():

@@ -33,7 +33,7 @@ from ktspin.clusters import (
     connected_size,
     enumerate_clusters,
 )
-from ktspin.kernel import MatrixElementQuery, matrix_element
+from ktspin.kernel import matrix_element
 from ktspin.model import TwoQubitOperator, model_to_dict, parse_pauli_expression
 from ktspin.oracle import (
     dense_matrix_element,
@@ -178,7 +178,7 @@ def test_criterion_03_kernel_matches_dense_commutators():
         )
         tsize = int(rng.integers(0, min(4, n + 1)))
         target = tuple(sorted(rng.choice(n, size=tsize, replace=False)))
-        fast = matrix_element(MatrixElementQuery(target, sets, edge))
+        fast = matrix_element(target, sets, edge)
         slow = dense_matrix_element(target, sets, edge, n)
         worst = max(worst, abs(fast - slow))
     dt = time.perf_counter() - t0
@@ -450,7 +450,7 @@ def test_criterion_09_structural_zeros():
         for _ in range(100):
             sets = tuple(pool[int(rng.integers(3))] for _ in range(k))
             target = pool[int(rng.integers(3))] if rng.integers(2) else ()
-            if matrix_element(MatrixElementQuery(target, sets, edge)) != 0:
+            if matrix_element(target, sets, edge) != 0:
                 failures.append(f"k={k} query {sets} -> nonzero")
 
     # energy of a disjoint union is the sum of the parts

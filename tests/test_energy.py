@@ -18,7 +18,6 @@ from ktspin import (
     truncation_bound,
     value_part,
 )
-from ktspin.energy import _compositions
 from ktspin.oracle import ground
 from conftest import (
     make_model,
@@ -31,13 +30,6 @@ from conftest import (
 
 # Taylor coefficients of 1 - sqrt(1 + 4 x^2): twice the signed Catalan numbers
 TF_SERIES = [0.0, -2.0, 0.0, 2.0, 0.0, -4.0, 0.0, 10.0, 0.0, -28.0, 0.0, 84.0]
-
-
-def test_compositions_enumeration():
-    assert _compositions(4, 1) == ((4,),)
-    assert _compositions(4, 2) == ((1, 3), (2, 2), (3, 1))
-    assert _compositions(3, 3) == ((1, 1, 1),)
-    assert len(_compositions(6, 3)) == 10  # C(5, 2)
 
 
 def test_single_flip_energy_series_closed_form():

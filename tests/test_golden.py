@@ -1,0 +1,99 @@
+"""Golden bytes: a fixed small model must keep producing the same output.
+
+Refactors of the solver, the energy formula and the kernel promise the
+same bytes on the same input.  These hashes pin the coefficient dump, the
+coefficient lists of ``energy`` and ``series`` and the correlator
+coefficients on one model whose entries come from ``random.Random``, so
+they are the same on every platform.  Quantities that pass through a
+LAPACK singular value decomposition (``eps0``, ``J``, ``bound``) are left
+out, since their last bits may differ between builds of that library.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from ktspin import CorrelatorQuery, TwoQubitOperator, correlator, load_model
+from ktspin.cli import main
+from ktspin.model import parse_pauli_expression
+
+# sha256 of the bytes named in each test, from the build these outputs were
+# first checked against
+ENERGY_DUMP = "c7d851d613df17622f601ace911e87a31a6d9a3bccb2f654743890a222f3d09e"
+ENERGY_COEFFICIENTS = "e2f8a4c2ab4a5b150bff25f510d4165f8b576396cda8d883b2e3417018e8a69a"
+SERIES_COEFFICIENTS = "748b1f37d7b35899fe4294438195449a67634cd8c7d042dfdd5c725f8ff9d2cd"
+CORRELATOR_COEFFICIENTS = "83b6c8baa4a45b8c73b1bb1a6497e35d91ffd26ac93dd09194185472394c4200"
+
+
+def _digest(data):
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_doc():
+    """Six-vertex ring with two chords; one edge is real and non-Hermitian."""
+    rng = random.Random(4242)
+    n = 6
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 3), (4, 1)]
+    edges = []
+    for idx, (u, v) in enumerate(pairs):
+        mat = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+        for r in range(4):
+            for c in range(r, 4):
+                if idx == 2:
+                    mat[r][c] = [rng.uniform(-1, 1), 0.0]
+                    mat[c][r] = [rng.uniform(-1, 1), 0.0]
+                elif r == c:
+                    mat[r][c] = [rng.uniform(-1, 1), 0.0]
+                else:
+                    re, im = rng.uniform(-1, 1), rng.uniform(-1, 1)
+                    mat[r][c] = [re, im]
+                    mat[c][r] = [re, -im]
+        edges.append({"u": u, "v": v, "matrix": mat})
+    vertices = [{"id": i, "delta": 0.5 + rng.random()} for i in range(n)]
+    return {"vertices": vertices, "edges": edges}
+
+
+def _model_path(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden_doc()))
+    return str(path)
+
+
+def _cli_json(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_energy_dump_and_coefficients_bytes(capsys, tmp_path):
+    model = _model_path(tmp_path)
+    dump = tmp_path / "dump.jsonl"
+    payload = _cli_json(
+        capsys,
+        ["energy", model, "--order", "6", "--epsilon", "1e-8", "--json",
+         "--dump-coefficients", str(dump)],
+    )
+    assert _digest(dump.read_bytes()) == ENERGY_DUMP
+    assert _digest(json.dumps(payload["coefficients"])) == ENERGY_COEFFICIENTS
+
+
+def test_series_coefficients_bytes(capsys, tmp_path):
+    payload = _cli_json(capsys, ["series", _model_path(tmp_path), "--order", "8", "--json"])
+    assert _digest(json.dumps(payload["coefficients"])) == SERIES_COEFFICIENTS
+
+
+def test_correlator_coefficient_bytes(tmp_path):
+    model = load_model(_model_path(tmp_path))
+    # norm 1/2 keeps every observable below the model's edge norms, so no
+    # rescaling by a singular value enters the coefficients
+    observables = ["0.5 ZZ", "0.25 XX + 0.25 YY", "0.5 ZI"]
+    lines = []
+    for s, t in [(0, 1), (2, 3), (0, 3), (4, 1)]:
+        for text in observables:
+            obs = TwoQubitOperator(parse_pauli_expression(text))
+            query = CorrelatorQuery(s=s, t=t, observable=obs, epsilon=1e-8, order=4)
+            lines.append(repr(correlator(model, query).coefficients))
+    assert _digest("\n".join(lines)) == CORRELATOR_COEFFICIENTS

@@ -1,4 +1,4 @@
-"""Commutator matrix elements: closed cases, pruning, and a dense cross-check."""
+"""Commutator matrix elements: closed cases, structural zeros, and a dense cross-check."""
 
 from __future__ import annotations
 
@@ -7,21 +7,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ktspin import EmptySet, InvalidSubset, solver
-from ktspin.kernel import (
-    MatrixElementQuery,
-    matrix_element,
-    prune,
-    target_matrix_elements,
-    vacuum_element,
-)
+from ktspin import EmptySet, solver
+from ktspin.kernel import matrix_element, target_matrix_elements
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import dense_matrix_element
 from conftest import make_model, random_hermitian_op, tf_edge_matrix
-
-
-def edge_of(model, idx=0):
-    return model.edges[idx]
 
 
 def test_single_commutator_with_x_on_same_site():
@@ -29,8 +19,7 @@ def test_single_commutator_with_x_on_same_site():
     m = make_model([1.0, 1.0], [(0, 1, parse_pauli_expression("XI"))])
     table = target_matrix_elements((2,), m.edges[0].op.entries)
     assert table[0] == -1.0
-    q = MatrixElementQuery(target=(), sets=((0,),), edge=m.edges[0])
-    assert matrix_element(q) == -1.0
+    assert matrix_element((), ((0,),), m.edges[0]) == -1.0
 
 
 def test_single_commutator_with_x_on_other_site():
@@ -44,61 +33,51 @@ def test_pair_set_against_double_flip():
     mat = np.zeros((4, 4), dtype=complex)
     mat[3, 0] = mat[0, 3] = 1.0  # |11><00| + h.c.
     m = make_model([1.0, 1.0], [(0, 1, mat)])
-    q = MatrixElementQuery(target=(), sets=(((0, 1)),), edge=m.edges[0])
-    assert matrix_element(q) == -1.0
+    assert matrix_element((), ((0, 1),), m.edges[0]) == -1.0
     # the pair can't be created twice and V's output is orthogonal to it
-    q2 = MatrixElementQuery(target=(0, 1), sets=((0, 1),), edge=m.edges[0])
-    assert matrix_element(q2) == 0.0
+    assert matrix_element((0, 1), ((0, 1),), m.edges[0]) == 0.0
 
 
 def test_vacuum_element_matches_entry_and_sign():
+    # empty target: the fully right-placed term, -(-1)^k entries[0][bits]
     mat = np.arange(16, dtype=complex).reshape(4, 4)
     m = make_model([1.0, 1.0], [(0, 1, mat)])
     e = m.edges[0]
-    assert vacuum_element(((0,),), e) == -mat[0][2]
-    assert vacuum_element(((1,),), e) == -mat[0][1]
-    assert vacuum_element(((0, 1),), e) == -mat[0][3]
-    assert vacuum_element(((0,), (1,)), e) == mat[0][3]
+    assert matrix_element((), ((0,),), e) == -mat[0][2]
+    assert matrix_element((), ((1,),), e) == -mat[0][1]
+    assert matrix_element((), ((0, 1),), e) == -mat[0][3]
+    assert matrix_element((), ((0,), (1,)), e) == mat[0][3]
+    assert matrix_element((), ((1,), (0,)), e) == mat[0][3]
     # overlap kills the term exactly
-    assert vacuum_element(((0,), (0, 1)), e) == 0.0
-    with pytest.raises(InvalidSubset):
-        vacuum_element(((2,),), e)
-    with pytest.raises(InvalidSubset):
-        vacuum_element(((),), e)
-
-
-def test_vacuum_equals_empty_target_matrix_element():
-    m = make_model([1.0, 1.0], [(0, 1, tf_edge_matrix())])
-    e = m.edges[0]
-    for sets in [((0,),), ((1,),), ((0, 1),), ((0,), (1,))]:
-        q = MatrixElementQuery(target=(), sets=sets, edge=e)
-        assert matrix_element(q) == vacuum_element(sets, e)
+    assert matrix_element((), ((0,), (0, 1)), e) == 0.0
 
 
 def test_empty_creation_set_rejected():
     m = make_model([1.0, 1.0], [(0, 1, tf_edge_matrix())])
     with pytest.raises(EmptySet):
-        MatrixElementQuery(target=(), sets=((),), edge=m.edges[0])
+        matrix_element((), ((),), m.edges[0])
+    # rejected even behind a set that already makes the element zero
+    with pytest.raises(EmptySet):
+        matrix_element((), ((0,), (0,), ()), m.edges[0])
 
 
-def test_prune_detects_structural_zeros():
-    m = make_model([1.0] * 4, [(1, 2, tf_edge_matrix())])
+def test_structural_zeros_are_exact(rng):
+    m = make_model([1.0] * 4, [(1, 2, random_hermitian_op(rng))])
     e = m.edges[0]
     # a set missing the edge entirely
-    assert prune(MatrixElementQuery(target=(), sets=((0,),), edge=e))
+    assert matrix_element((0,), ((0,),), e) == 0j
     # union outside the edge not contained in the target
-    assert prune(MatrixElementQuery(target=(), sets=((0, 1),), edge=e))
+    assert matrix_element((), ((0, 1),), e) == 0j
     # target has a vertex no set (nor the edge) can produce
-    assert prune(MatrixElementQuery(target=(3,), sets=((1,),), edge=e))
+    assert matrix_element((3,), ((1,),), e) == 0j
     # a legitimate query survives
-    assert not prune(MatrixElementQuery(target=(0, 1), sets=((0, 1),), edge=e))
+    assert matrix_element((0, 1), ((0, 1),), e) != 0
 
 
 def test_overlap_outside_edge_is_zero():
     m = make_model([1.0] * 4, [(1, 2, tf_edge_matrix())])
     e = m.edges[0]
-    q = MatrixElementQuery(target=(0,), sets=((0, 1), (0, 2)), edge=e)
-    assert matrix_element(q) == 0.0
+    assert matrix_element((0,), ((0, 1), (0, 2)), e) == 0.0
 
 
 def test_five_or_more_sets_vanish(rng):
@@ -109,18 +88,14 @@ def test_five_or_more_sets_vanish(rng):
         for sets in itertools.product(pool, repeat=k):
             for tbits in range(4):
                 target = tuple(w for w in (0, 1) if tbits & (2 >> w))
-                q = MatrixElementQuery(target=target, sets=sets, edge=e)
-                assert matrix_element(q) == 0.0
+                assert matrix_element(target, sets, e) == 0.0
 
 
 def test_matrix_element_order_insensitive(rng):
     m = make_model([1.0, 1.0, 1.0], [(0, 2, random_hermitian_op(rng))])
     e = m.edges[0]
     sets = ((0,), (2,), (0, 2))
-    vals = {
-        matrix_element(MatrixElementQuery(target=(0, 2), sets=p, edge=e))
-        for p in itertools.permutations(sets)
-    }
+    vals = {matrix_element((0, 2), p, e) for p in itertools.permutations(sets)}
     assert len(vals) == 1
 
 
@@ -135,8 +110,7 @@ def test_kernel_matches_dense_commutators(rng):
     for k in (1, 2, 3):
         for sets in itertools.combinations(singles, k):
             for target in targets:
-                q = MatrixElementQuery(target=target, sets=sets, edge=e)
-                got = matrix_element(q)
+                got = matrix_element(target, sets, e)
                 want = dense_matrix_element(target, sets, e, n)
                 assert got == pytest.approx(want, abs=1e-12)
                 checked += 1

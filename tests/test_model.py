@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -101,13 +102,27 @@ def test_validate_rejects_bad_inputs():
     with pytest.raises(DanglingVertexId):
         make_model([1.0, 1.0], [(0, 2, np.eye(4))])
     with pytest.raises(DanglingVertexId):
-        SpinModel(
-            vertices=[Vertex(0, 1.0), Vertex(2, 1.0)], edges=[]
-        ).validate()
+        SpinModel(vertices=[Vertex(0, 1.0), Vertex(2, 1.0)], edges=[])
     with pytest.raises(DanglingVertexId):
-        SpinModel(
-            vertices=[Vertex(0, 1.0), Vertex(0, 1.0)], edges=[]
-        ).validate()
+        SpinModel(vertices=[Vertex(0, 1.0), Vertex(0, 1.0)], edges=[])
+
+
+def test_model_cannot_change_after_construction():
+    # the certificate's eps0 is computed once, so the edges it describes
+    # must stay the edges of the model
+    m = tf_edge_model()
+    extra = EdgeTerm(u=0, v=1, op=TwoQubitOperator(50 * np.eye(4)))
+    with pytest.raises(AttributeError):
+        m.edges.append(extra)
+    with pytest.raises(FrozenInstanceError):
+        m.edges = [*m.edges, extra]
+    with pytest.raises(FrozenInstanceError):
+        m.edges[0].op = extra.op
+    with pytest.raises(FrozenInstanceError):
+        m.vertices[0].delta = 1e-3
+    assert len(m.edges) == 1
+    assert m.J == pytest.approx(2.0)
+    assert m.eps0 == pytest.approx(2.0**-18 / 2.0)
 
 
 @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])

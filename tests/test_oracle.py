@@ -94,6 +94,17 @@ def test_ground_diagonal_model(rng):
     assert g.energy <= want + 1e-12
 
 
+def test_ground_rejects_complex_ground_energy():
+    # i|00><00| shifts the vacuum to the eigenvalue 0.1j, the lowest real part
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = 1j
+    m = make_model([1.0, 1.0], [(0, 1, mat)])
+    with pytest.raises(ArithmeticError, match="complex ground energy"):
+        ground(m, 0.1)
+    with pytest.raises(ArithmeticError, match="complex ground energy"):
+        gap(m, 0.1)
+
+
 def test_gap_at_zero_strength():
     m = make_model([0.7, 1.3], [(0, 1, tf_edge_model().edges[0].op.entries)])
     assert gap(m, 0.0) == pytest.approx(0.7)

@@ -13,7 +13,6 @@ from ktspin.setalg import (
     CoefficientTable,
     bin_candidates,
     dump_coefficients,
-    excitation_energy,
     one_norm,
     table_insert,
     table_lookup,
@@ -25,14 +24,6 @@ def test_vertex_set_normalizes():
     assert vertex_set([3, 1, 2]) == (1, 2, 3)
     assert vertex_set((5, 5, 0)) == (0, 5)
     assert vertex_set([]) == ()
-
-
-def test_excitation_energy_sums_fields():
-    deltas = [0.5, 1.0, 2.0]
-    assert excitation_energy((0, 2), deltas) == pytest.approx(2.5)
-    assert excitation_energy((1,), deltas) == pytest.approx(1.0)
-    with pytest.raises(EmptySet):
-        excitation_energy((), deltas)
 
 
 def test_insert_lookup_and_counts():
