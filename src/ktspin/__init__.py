@@ -23,7 +23,6 @@ from .errors import (
     Disconnected,
     EmptySet,
     InvalidObservable,
-    InvalidSubset,
     KtspinError,
     NonPositiveGap,
     NonPositivePrecision,
@@ -50,7 +49,6 @@ from .response import (
     correlator,
     restrict_neighborhood,
 )
-from .scalars import DualScalar, derivative_part, scalar_abs, value_part
 from .solver import SolverState, advance_order, solve
 
 __version__ = "0.1.0"
@@ -60,12 +58,10 @@ __all__ = [
     "CorrelatorResult",
     "DanglingVertexId",
     "Disconnected",
-    "DualScalar",
     "EdgeTerm",
     "EmptySet",
     "EnergySeries",
     "InvalidObservable",
-    "InvalidSubset",
     "KtspinError",
     "NonPositiveGap",
     "NonPositivePrecision",
@@ -81,7 +77,6 @@ __all__ = [
     "choose_correlator_order",
     "choose_order",
     "correlator",
-    "derivative_part",
     "energy_coefficient",
     "energy_estimate",
     "energy_series",
@@ -93,8 +88,6 @@ __all__ = [
     "radius_estimate",
     "restrict_neighborhood",
     "save_model",
-    "scalar_abs",
     "solve",
     "truncation_bound",
-    "value_part",
 ]

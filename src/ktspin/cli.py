@@ -44,7 +44,6 @@ from .response import (
     choose_correlator_order,
     correlator,
 )
-from .scalars import value_part
 from .setalg import dump_coefficients
 from .solver import solve
 
@@ -95,7 +94,7 @@ def _load_observable(text):
 def _coeff_pairs(coefficients):
     out = []
     for c in coefficients:
-        z = value_part(c)
+        z = complex(c)
         out.append([z.real, z.imag])
     return out
 
@@ -267,20 +266,20 @@ def _verify_checks(max_qubits, seeds):
             f"gap {g:.4f} vs {model.Delta / 2:.4f}",
         )
 
-        # correlator vs exact expectation
-        s, t = 0, 1
+        # correlator vs exact expectation, on an edge and two hops apart
         obs = TwoQubitOperator.from_pauli("ZI")
         eps = model.eps0_star / (2 * model.d)
-        query = CorrelatorQuery(s=s, t=t, observable=obs, epsilon=eps, order=3)
-        result = correlator(model, query)
         gs = oracle.ground(model, eps)
-        kexact = oracle.expectation(gs.state, obs, s, t)
-        err = abs(result.value - kexact)
-        yield (
-            f"correlator-vs-exact seed {seed}",
-            err <= result.bound + 1e-8,
-            f"err {err:.2e} bound {result.bound:.2e}",
-        )
+        for s, t, name in ((0, 1, "correlator"), (0, 2, "correlator-sites-0-2")):
+            query = CorrelatorQuery(s=s, t=t, observable=obs, epsilon=eps, order=3)
+            result = correlator(model, query)
+            kexact = oracle.expectation(gs.state, obs, s, t)
+            err = abs(result.value - kexact)
+            yield (
+                f"{name}-vs-exact seed {seed}",
+                err <= result.bound + 1e-8,
+                f"err {err:.2e} bound {result.bound:.2e}",
+            )
 
         # extraction round trip
         coeffs = oracle.extract_creation_coefficients(gs.state)

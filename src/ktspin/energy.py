@@ -11,8 +11,7 @@ every term is one of:
 - the two singletons ``(v,)`` at order a and ``(u,)`` at order p-1-a,
   in either order, times ``entries[0][3] / 2``, for a = 1..p-2.
 
-Terms are summed edge by edge in that order, and the value and
-derivative channels accumulate separately.
+Terms are summed edge by edge in that order.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import NonPositiveGap, NonPositivePrecision
-from .scalars import DualScalar, derivative_part, value_part
 from .setalg import table_lookup
 from .solver import solve
 
@@ -49,11 +47,7 @@ def _edge_contributions(table, terms, top):
 
 
 def energy_coefficient(state, order):
-    """Series coefficient of the ground energy at the given order.
-
-    Returns a plain complex number unless the accumulation picked up a
-    derivative channel, in which case a DualScalar is returned.
-    """
+    """Series coefficient of the ground energy at the given order, as a complex."""
     if order < 1:
         raise NonPositivePrecision(f"energy order must be >= 1, got {order}")
     if order > 1 and state.current_order < order - 1:
@@ -65,18 +59,11 @@ def energy_coefficient(state, order):
         contribs = (entries[0][0] for _u, _v, entries in state.terms)
     else:
         contribs = _edge_contributions(state.table, state.terms, order - 1)
-    val_acc = 0j
-    der_acc = 0j
+    acc = 0j
     for contrib in contribs:
-        cv = value_part(contrib)
-        cd = derivative_part(contrib)
-        if cv != 0:
-            val_acc += cv
-        if cd != 0:
-            der_acc += cd
-    if der_acc == 0:
-        return val_acc
-    return DualScalar(val_acc, der_acc)
+        if contrib != 0:
+            acc += contrib
+    return acc
 
 
 @dataclass
@@ -184,7 +171,7 @@ def radius_estimate(series):
     rate = 0.0
     for idx in range(p // 2, p):
         q = idx + 1
-        mag = abs(value_part(coeffs[idx]))
+        mag = abs(coeffs[idx])
         if mag > 0.0:
             rate = max(rate, mag ** (1.0 / q))
     if rate == 0.0:

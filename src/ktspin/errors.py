@@ -31,10 +31,6 @@ class EmptySet(KtspinError):
     """A vertex set that must be nonempty is empty."""
 
 
-class InvalidSubset(KtspinError):
-    """A vertex set violates the subset requirements of an operation."""
-
-
 class TooManyQubits(KtspinError):
     """Model exceeds the size cap for dense reference computations."""
 

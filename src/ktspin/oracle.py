@@ -130,21 +130,29 @@ def _two_lowest(model, eps, cap):
             vals, vecs = np.linalg.eigh(ham)
             return vals[0], vals[1], vecs[:, 0]
         vals, vecs = np.linalg.eig(ham)
-        order = np.argsort(vals.real, kind="stable")
-        e0 = vals[order[0]]
-        # same tolerance as the residual check in ground()
-        if abs(e0.imag) > 1e-9 * max(1.0, _norm_scale(model, eps)):
-            raise ArithmeticError(
-                f"complex ground energy {e0:.6g} of a non-Hermitian model"
-            )
-        return e0.real, vals[order[1]].real, vecs[:, order[0]]
+        return _real_lowest(model, eps, vals, vecs)
     ham = _sparse_hamiltonian(model, eps)
     dim = ham.shape[0]
     v0 = np.full(dim, 1e-3)
     v0[0] = 1.0
-    vals, vecs = spla.eigsh(ham, k=2, which="SA", v0=v0, maxiter=10000)
-    order = np.argsort(vals)
-    return vals[order[0]], vals[order[1]], vecs[:, order[0]]
+    if model.hermitian:
+        vals, vecs = spla.eigsh(ham, k=2, which="SA", v0=v0, maxiter=10000)
+        order = np.argsort(vals)
+        return vals[order[0]], vals[order[1]], vecs[:, order[0]]
+    vals, vecs = spla.eigs(ham, k=2, which="SR", v0=v0, maxiter=10000)
+    return _real_lowest(model, eps, vals, vecs)
+
+
+def _real_lowest(model, eps, vals, vecs):
+    """Two lowest eigenvalues by real part; raises if the lowest is complex."""
+    order = np.argsort(vals.real, kind="stable")
+    e0 = vals[order[0]]
+    # same tolerance as the residual check in ground()
+    if abs(e0.imag) > 1e-9 * max(1.0, _norm_scale(model, eps)):
+        raise ArithmeticError(
+            f"complex ground energy {e0:.6g} of a non-Hermitian model"
+        )
+    return e0.real, vals[order[1]].real, vecs[:, order[0]]
 
 
 def ground(model, eps, cap=QUBIT_CAP):

@@ -2,17 +2,31 @@
 
 The expectation of a two-site observable in the ground state equals the
 derivative of the ground energy after adding the observable, scaled by
-the perturbation strength, as a parallel edge.  Running the solver over
-dual scalars (value plus derivative channel) computes that derivative
-exactly: ``solve(model, order, terms=...)`` takes the model's edge terms
-plus the observable edge, whose entries have a zero value channel and
-the observable in the derivative channel, so every stored coefficient
-and energy coefficient carries its derivative along.
+a formal strength, as a parallel edge (s, t).  That derivative comes
+from two tables:
+
+- a plain value table, ``solve(model, max(p - 1, 1))``, with no
+  observable edge;
+- a sparse tangent table from ``solver.tangent_pass``: the derivative
+  of every coefficient that depends on the observable edge, for orders
+  1..p.  It enumerates only tuples that hold a derivative-carrying item
+  or act through the observable edge, in the solver's pool and visit
+  order.
+
+E_{q+1} reads order q only on sets of at most two vertices, so the
+last order p keeps only those, and its only values that are read (the
+observable edge's vacuum row at (s,), (t,) and (s, t)) come from the
+same pass.  ``_edge_derivatives`` then sums each derivative coefficient
+term by term in the order of ``energy._edge_contributions``, with
+first-order (dual-number) arithmetic in the dual-number solve's
+operation order: the product rule ``a.val*b.der + a.der*b.val``, and a
+coefficient that is exactly zero in both channels skipped.
 
 Correlators are local: restricting the model to a neighborhood of the
 two sites leaves the order-p answer unchanged, bit for bit, because the
-discarded terms never touch the derivative channel and all surviving
-terms are enumerated in the same order.
+discarded terms never reach a tuple that carries a derivative or feeds
+the last order's values, and the surviving tuples are enumerated in the
+same relative order, since the renumbering keeps vertex and edge order.
 """
 
 from __future__ import annotations
@@ -22,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import AdjacencyGraph, distances
-from .energy import energy_coefficient
 from .errors import (
     DanglingVertexId,
     InvalidObservable,
@@ -30,8 +43,8 @@ from .errors import (
     SelfLoop,
 )
 from .model import SpinModel, TwoQubitOperator, Vertex
-from .scalars import DualScalar, derivative_part
-from .solver import _prepare_terms, solve
+from .setalg import table_lookup
+from .solver import solve, tangent_pass, times
 
 REGIME_CERTIFIED = "lemma9"
 REGIME_NONE = "none"
@@ -99,11 +112,68 @@ def restrict_neighborhood(model, s, t, order):
     return sub, mapping
 
 
-def _dual_entries(matrix):
-    """Nested tuple with the matrix in the derivative channel only."""
-    return tuple(
-        tuple(DualScalar(0.0, cell) for cell in row) for row in matrix.tolist()
-    )
+def _edge_derivatives(terms, values, tangents, top):
+    """Derivative terms of E_{top+1}, in ``_edge_contributions`` order.
+
+    ``terms`` holds (u, v, vacuum row) with the row's cells as (value,
+    derivative) pairs; ``values(order, members, mask)`` and ``tangents``
+    give the two channels of a stored coefficient.
+    """
+    for u, v, vac_row in terms:
+        pair = (u, v) if u < v else (v, u)
+        bu, bv = 1 << u, 1 << v
+        for members, mask, bits in (((v,), bv, 1), ((u,), bu, 2), (pair, bu | bv, 3)):
+            vv, vd = vac_row[bits]
+            cd = tangents[top].get(mask)
+            if (vv != 0 or vd is not None) and (cd is not None or vd is not None):
+                cv = values(top, members, mask)
+                if cv != 0 or cd is not None:
+                    yield times(cv, cd, vv, vd)[1] * (-1.0)
+        vv, vd = vac_row[3]
+        if vv == 0 and vd is None:
+            continue
+        for a in range(1, top):
+            for first, m1, second, m2 in (((v,), bv, (u,), bu), ((u,), bu, (v,), bv)):
+                c1d = tangents[a].get(m1)
+                c2d = tangents[top - a].get(m2)
+                if c1d is None and c2d is None and vd is None:
+                    continue  # a plain product carries no derivative
+                c1v = values(a, first, m1)
+                if c1v != 0 or c1d is not None:
+                    c2v = values(top - a, second, m2)
+                    if c2v != 0 or c2d is not None:
+                        pv, pd = times(c1v, c1d, c2v, c2d)
+                        yield times(pv, pd, vv, vd)[1] * 0.5
+
+
+def _derivative_coefficient(terms, values, tangents, order):
+    """Derivative of E_order, summed as ``energy_coefficient`` sums values."""
+    if order == 1:
+        contribs = (row[0][1] for _u, _v, row in terms if row[0][1] is not None)
+    else:
+        contribs = _edge_derivatives(terms, values, tangents, order - 1)
+    acc = 0j
+    for der in contribs:
+        if der != 0:
+            acc += der
+    return acc if acc != 0 else 0j
+
+
+def _response_coefficients(sub, s, t, matrix, p):
+    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable."""
+    state = solve(sub, max(p - 1, 1))
+    entries = tuple(tuple(row) for row in matrix.tolist())
+    tangents, last_values = tangent_pass(state, (s, t, entries), p)
+    table = state.table
+
+    def values(order, members, mask):
+        if order == p:
+            return last_values.get(mask, 0)
+        return table_lookup(table, order, members)
+
+    terms = [(u, v, [(cell, None) for cell in row[0]]) for u, v, row in state.terms]
+    terms.append((s, t, [(0j, cell if cell != 0 else None) for cell in entries[0]]))
+    return [_derivative_coefficient(terms, values, tangents, q + 1) for q in range(p + 1)]
 
 
 def correlator(model, query, restrict=True):
@@ -142,10 +212,7 @@ def correlator(model, query, restrict=True):
     if p == 0:
         ders = [complex(run_matrix[0][0])]
     else:
-        terms = _prepare_terms(sub)
-        terms.append((rs, rt, _dual_entries(run_matrix)))
-        state = solve(sub, p, terms=terms)
-        ders = [derivative_part(energy_coefficient(state, q + 1)) for q in range(p + 1)]
+        ders = _response_coefficients(sub, rs, rt, run_matrix, p)
 
     value = 0j
     power = 1.0

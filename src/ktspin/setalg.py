@@ -12,7 +12,6 @@ from __future__ import annotations
 from math import isfinite
 
 from .errors import EmptySet
-from .scalars import derivative_part, scalar_abs, value_part
 
 
 def vertex_set(members):
@@ -95,7 +94,7 @@ def one_norm(table, order):
         omap = table.orders[order]
         total = 0.0
         for members in members_list:
-            total += scalar_abs(omap[members])
+            total += abs(omap[members])
         if total > best:
             best = total
     return best
@@ -107,17 +106,15 @@ _LINE = '{"q": %d, "M": [%s], "re": %s, "im": %s}\n'
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def dump_coefficients(table, fh, derivative=False):
+def dump_coefficients(table, fh):
     """Write one JSON object per entry, sorted by (order, set).
 
-    Each line holds {"q", "M", "re", "im"}; with derivative=True the
-    derivative channel is written instead of the value channel.
+    Each line holds {"q", "M", "re", "im"}.
     """
-    part = derivative_part if derivative else value_part
     for order in sorted(table.orders):
         omap = table.orders[order]
         for members in sorted(omap):
-            val = part(omap[members])
+            val = complex(omap[members])
             real, imag = val.real, val.imag
             if not (isfinite(real) and isfinite(imag)):
                 real = _NONFINITE.get(str(real), real)

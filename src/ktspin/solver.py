@@ -28,14 +28,18 @@ whose kernel result is empty and sums everything else in the same order.
 Entries dropped by a positive threshold are counted per order, with
 their one-norm, so a caller can tell that the table is no longer the
 exact series.
+
+``tangent_pass`` differentiates a solved table along one extra edge
+term (forward mode with sparsity): it walks the same pools in the same
+order, but only through tuples that carry a derivative.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .kernel import target_matrix_elements
-from .scalars import scalar_abs
 from .setalg import (
     CoefficientTable,
     bin_candidates,
@@ -92,7 +96,8 @@ class SolverState:
         "_e0",
     )
 
-    def __init__(self, model, terms, threshold):
+    def __init__(self, model, threshold):
+        terms = _prepare_terms(model)
         self.model = model
         self.table = CoefficientTable()
         self.current_order = 0
@@ -142,7 +147,7 @@ def _freeze_order(state, acc, order):
         if value == 0:
             continue
         if threshold > 0.0:
-            mag = scalar_abs(value)
+            mag = abs(value)
             if mag < threshold:
                 count += 1
                 for w in members:
@@ -173,14 +178,21 @@ def _extend_pools(state, order):
     """
     table = state.table
     for idx, (u, v, _entries) in enumerate(state.terms):
-        pool = state._pools[idx]
-        for members, value in bin_candidates(table, u, v, order):
-            sb = (2 if u in members else 0) | (1 if v in members else 0)
-            mask = 0
-            for w in members:
-                if w != u and w != v:
-                    mask |= 1 << w
-            pool.append((order, mask, _W[sb], value))
+        candidates = bin_candidates(table, u, v, order)
+        state._pools[idx].extend(_edge_records(candidates, u, v, order))
+
+
+def _edge_records(candidates, u, v, order):
+    """Pool records of one order for the edge (u, v) from its (set, value) candidates."""
+    out = []
+    for members, value in candidates:
+        sb = (2 if u in members else 0) | (1 if v in members else 0)
+        mask = 0
+        for w in members:
+            if w != u and w != v:
+                mask |= 1 << w
+        out.append((order, mask, _W[sb], value))
+    return out
 
 
 def _kernel_results(code, entries, bit_masks):
@@ -255,19 +267,364 @@ def advance_order(state):
     return state
 
 
-def solve(model, order, threshold=0.0, terms=None):
+def times(av, ad, bv, bd):
+    """Product of two (value, derivative) pairs; a derivative of None is absent.
+
+    The derivative follows the product rule ``a.val*b.der + a.der*b.val``
+    when both factors carry one, and is None when neither does.
+    """
+    if ad is None:
+        if bd is None:
+            return av * bv, None
+        return bv * av, bd * av
+    if bd is None:
+        return av * bv, ad * bv
+    return av * bv, av * bd + ad * bv
+
+
+class _TangentPool:
+    """One edge's pool for the tangent pass, built section by section.
+
+    ``records`` holds pool records as ``advance_order`` builds them, plus
+    the records of sets that only the tangent table holds (value 0j),
+    each after the value records of its bin; ``ders`` is aligned with it
+    (None where the set carries no derivative), ``starts[q]`` is the
+    first index of order q, and ``hot[q]`` lists the indices of order q
+    that carry a derivative.
+    """
+
+    __slots__ = ("records", "ders", "starts", "hot")
+
+    def __init__(self):
+        self.records = []
+        self.ders = []
+        self.starts = [0, 0]
+        self.hot = [[]]
+
+    def add_section(self, base, u, v, order, tangent, extra):
+        """Append one order's records; ``extra`` lists its tangent-only masks."""
+        records = self.records
+        ders = self.ders
+        bu, bv = 1 << u, 1 << v
+        if not tangent:
+            records.extend(base)
+            ders.extend([None] * len(base))
+            self.hot.append([])
+            self.starts.append(len(records))
+            return
+        full_of = {1: bv, 5: bu, 25: bu | bv}
+        split = len(base)
+        for i, rec in enumerate(base):
+            if rec[2] == 1:
+                split = i
+                break
+        in_u = [m for m in extra if m & bu]
+        in_v = [m for m in extra if m & bv and not m & bu]
+        hot = []
+        for part, more in ((base[:split], in_u), (base[split:], in_v)):
+            for rec in part:
+                der = tangent.get(rec[1] | full_of[rec[2]])
+                if der is not None:
+                    hot.append(len(records))
+                records.append(rec)
+                ders.append(der)
+            for mask in more:
+                sb = (2 if mask & bu else 0) | (1 if mask & bv else 0)
+                hot.append(len(records))
+                records.append((order, mask & ~(bu | bv), _W[sb], 0j))
+                ders.append(tangent[mask])
+        self.hot.append(hot)
+        self.starts.append(len(records))
+
+
+def tangent_pass(state, edge, order):
+    """Derivative tables of the solved series along one extra edge term.
+
+    ``edge`` is an observable edge (s, t, nested 4x4 entries) added with
+    a formal strength: the returned ``tangents[q]`` maps vertex bitmasks
+    to the derivative, at zero strength, of the order-q coefficient, for
+    q = 1..order, nonzero entries only.  ``state`` must hold the plain
+    tables up to order - 1 (order 1 when order is 1); its tables and
+    pools are read, never changed, and its kernel caches are shared.
+
+    Only tuples that hold a derivative-carrying item, or that act through
+    the observable edge, are enumerated, in the pool and visit order of
+    ``advance_order``, with first-order (dual-number) arithmetic.  The
+    last order keeps only sets of at most two vertices, and alongside it
+    the pass sums, from the tuples whose outside part lies in {s, t},
+    the plain order-``order`` values of (s,), (t,) and (s, t): with the
+    lower tables, that is all the next energy coefficient reads.
+    Returns (tangents, values), ``values`` keyed by bitmask.
+
+    A set whose value is exactly zero but whose derivative is not goes
+    after the value table's sets in each bin; the dual-number solve put
+    it where its first contribution arrived, so with such sets the last
+    bits of a sum can differ from that order.
+    """
+    s, t, obs_entries = edge
+    st = (1 << s) | (1 << t)
+    table = state.table
+    top = state.current_order
+    if top < max(order - 1, 1):
+        raise ValueError(f"state holds orders up to {top}, the pass needs {order - 1}")
+    acc = {}
+    for mask, der in ((1 << t, obs_entries[1][0]), (1 << s, obs_entries[2][0]),
+                      (st, obs_entries[3][0])):
+        if der != 0:
+            acc[mask] = der
+    tangents = {1: _freeze_tangent(state, acc)}
+    values = {}
+    if order == 1:
+        omap = table.orders.get(1, {})
+        for mask in (1 << t, 1 << s, st):
+            val = omap.get(_mask_members(mask), 0)
+            if val != 0:
+                values[mask] = val
+        return tangents, values
+
+    terms = list(state.terms)
+    terms.append(edge)
+    obs_idx = len(terms) - 1
+    mecaches = list(state._mecaches)
+    mecaches.append([None] * _NCODES)
+    tpools = {}
+    touched = [0]   # touched[q]: vertices of the order-q derivative sets
+    extras = [[]]   # extras[q]: masks only the tangent table holds
+    hit = 0         # vertices of every derivative set so far
+    for k in range(2, order + 1):
+        budget = k - 1
+        tan = tangents[budget]
+        omap = table.orders.get(budget, {})
+        extras.append([m for m in tan if _mask_members(m) not in omap])
+        seen = 0
+        for mask in tan:
+            seen |= mask
+        touched.append(seen)
+        hit |= seen
+        last = k == order
+        if last:
+            singles, pairs = _value_feeders(table, s, t, k)
+        acc = {}
+        vacc = {}
+        for idx, (u, v, _entries) in enumerate(terms):
+            ends = (1 << u) | (1 << v)
+            if idx != obs_idx and not ends & hit and not (
+                last and (ends & singles or ends in pairs)
+            ):
+                continue
+            tp = tpools.get(idx)
+            if tp is None:
+                tp = tpools[idx] = _TangentPool()
+            for q in range(len(tp.starts) - 1, k):
+                if idx != obs_idx and q < top:
+                    pool = state._pools[idx]
+                    base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
+                else:
+                    cands = bin_candidates(table, u, v, q)
+                    if last:
+                        # later sets never reach a target of at most two vertices
+                        cands = [c for c in cands
+                                 if len(c[0]) - (u in c[0]) - (v in c[0]) <= 2]
+                    base = _edge_records(cands, u, v, q)
+                tp.add_section(base, u, v, q, tangents[q] if ends & touched[q] else None,
+                               extras[q])
+            _tangent_edge(terms[idx], tp, mecaches[idx], budget,
+                          idx == obs_idx, last, st, acc, vacc)
+        tangents[k] = _freeze_tangent(state, acc)
+        if last:
+            for mask, numerator in vacc.items():
+                val = numerator / state.excitation_energy(_mask_members(mask))
+                if val != 0:
+                    values[mask] = val
+    return tangents, values
+
+
+def _value_feeders(table, s, t, below):
+    """Edges whose records of orders below ``below`` can lie within {s, t} off the edge.
+
+    Such a record's set is (s,), (t,), (s, t) or a stored set on s or t
+    whose other vertices are endpoints of the edge.  Returns the vertex
+    mask of edges to take by either endpoint, and the set of endpoint
+    pairs to take whole.
+    """
+    st = (1 << s) | (1 << t)
+    singles = st
+    pairs = set()
+    for w in (s, t):
+        for q, members_list in table.bins.get(w, {}).items():
+            if q < below:
+                for members in members_list:
+                    rest = 0
+                    for x in members:
+                        rest |= 1 << x
+                    rest &= ~st
+                    if rest.bit_count() == 1:
+                        singles |= rest
+                    elif rest.bit_count() == 2:
+                        pairs.add(rest)
+    return singles, pairs
+
+
+def _freeze_tangent(state, acc):
+    """Divide derivative numerators by excitation energies, as _freeze_order does."""
+    out = {}
+    for mask, numerator in acc.items():
+        der = numerator / state.excitation_energy(_mask_members(mask))
+        if der != 0:
+            out[mask] = der
+    return out
+
+
+def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
+    """Add one edge's tangent tuples of total order ``budget`` to ``acc``.
+
+    ``seek`` walks prefixes that hold no derivative yet: it descends only
+    where a derivative-carrying (or, at the last order, value-feeding)
+    item can still follow, and takes leaves from ``hot`` lists only.
+    ``grow`` walks prefixes that do, like ``advance_order``'s grow.  On
+    the observable edge every tuple carries a derivative, through the
+    kernel, so ``grow`` starts there.
+    """
+    u, v, entries = term
+    pool = tp.records
+    ders = tp.ders
+    starts = tp.starts
+    npool = len(pool)
+    bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
+    notst = ~st
+    hot = tp.hot
+    if last:
+        # value-feeding leaves: outside part within {s, t}
+        hot = [sorted(h + [i for i in range(starts[q], starts[q + 1])
+                           if ders[i] is None and not pool[i][1] & notst])
+               for q, h in enumerate(hot)]
+    hot_max = [-1]
+    for q in range(1, budget + 1):
+        hot_max.append(max(hot_max[-1], hot[q][-1] if hot[q] else -1))
+
+    def emit(outside2, code2, cv2, cd2, denom2):
+        mes = mecache[code2]
+        if mes is None:
+            mes = mecache[code2] = _kernel_results(code2, entries, bit_masks)
+        if denom2 > 1:
+            wv = cv2 / denom2
+            wd = None if cd2 is None else cd2 / denom2
+        else:
+            wv, wd = cv2, cd2
+        for bits, me in mes:
+            target = outside2 | bits
+            if not target:
+                continue
+            if obs:
+                # the observable edge's entries are (0j, entry) pairs
+                dc = times(wv, wd, 0j, me)[1]
+            else:
+                dc = None if wd is None else wd * me
+                if last and not target & notst:
+                    vc = wv * me
+                    if vc != 0:
+                        prev = vacc.get(target)
+                        vacc[target] = vc if prev is None else prev + vc
+            if dc is not None and dc != 0 and not (last and target.bit_count() > 2):
+                prev = acc.get(target)
+                acc[target] = dc if prev is None else prev + dc
+
+    def grow(start, remaining, outside, code, cv, cd, denom, last_i, run):
+        for i in range(start, npool):
+            item = pool[i]
+            order = item[0]
+            if order > remaining:
+                break
+            mask = item[1]
+            if mask & outside:
+                continue
+            code2 = code + item[2]
+            left = remaining - order
+            if left == 0:
+                if not LIVE[code2]:
+                    continue
+            elif not GROWS[code2]:
+                continue
+            outside2 = outside | mask
+            if last and outside2.bit_count() > 2:
+                continue
+            cv2, cd2 = times(cv, cd, item[3], ders[i])
+            if i == last_i:
+                run2 = run + 1
+                denom2 = denom * run2
+            else:
+                run2 = 1
+                denom2 = denom
+            if left:
+                grow(i, left, outside2, code2, cv2, cd2, denom2, i, run2)
+            else:
+                emit(outside2, code2, cv2, cd2, denom2)
+
+    def seek(start, remaining, outside, code, cv, denom, last_i, run):
+        for i in range(start, starts[remaining]):
+            item = pool[i]
+            mask = item[1]
+            if mask & outside:
+                continue
+            code2 = code + item[2]
+            if not GROWS[code2]:
+                continue
+            left = remaining - item[0]
+            der = ders[i]
+            if der is None and hot_max[left] < i:
+                continue
+            outside2 = outside | mask
+            if last and outside2.bit_count() > 2:
+                continue
+            if i == last_i:
+                run2 = run + 1
+                denom2 = denom * run2
+            else:
+                run2 = 1
+                denom2 = denom
+            if der is None:
+                seek(i, left, outside2, code2, cv * item[3], denom2, i, run2)
+            else:
+                cv2, cd2 = times(cv, None, item[3], der)
+                grow(i, left, outside2, code2, cv2, cd2, denom2, i, run2)
+        leaves = hot[remaining]
+        for j in range(bisect_left(leaves, start), len(leaves)):
+            i = leaves[j]
+            item = pool[i]
+            mask = item[1]
+            if mask & outside:
+                continue
+            code2 = code + item[2]
+            if not LIVE[code2]:
+                continue
+            outside2 = outside | mask
+            der = ders[i]
+            if der is None:
+                if outside2 & notst:
+                    continue
+            elif last and outside2.bit_count() > 2:
+                continue
+            if i == last_i:
+                denom2 = denom * (run + 1)
+            else:
+                denom2 = denom
+            cv2, cd2 = times(cv, None, item[3], der)
+            emit(outside2, code2, cv2, cd2, denom2)
+
+    if obs:
+        grow(0, budget, 0, 0, 1.0, None, 1, -1, 0)
+    else:
+        seek(0, budget, 0, 0, 1.0, 1, -1, 0)
+
+
+def solve(model, order, threshold=0.0):
     """Coefficient tables for all orders 1..order.
 
-    ``terms`` replaces the model's edge terms by (u, v, nested 4x4 entries)
-    triples whose entries may use any scalar type with ring arithmetic;
-    this is how derivative-carrying runs reuse the solver unchanged.
     Order 1 reads the vacuum column of each edge term directly.
     """
     if order < 1:
         raise ValueError("solve needs order >= 1")
-    if terms is None:
-        terms = _prepare_terms(model)
-    state = SolverState(model, terms, threshold)
+    state = SolverState(model, threshold)
     acc = {}
     for u, v, entries in state.terms:
         pair_sets = (

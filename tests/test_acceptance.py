@@ -25,7 +25,6 @@ from ktspin import (
     CorrelatorQuery,
     correlator,
     solve,
-    value_part,
 )
 from ktspin.clusters import (
     AdjacencyGraph,
@@ -87,7 +86,7 @@ def test_criterion_01_closed_form_model():
     want = {2: -2.0, 3: 0.0, 4: 2.0}
     worst = 0.0
     for q, expect in want.items():
-        got = value_part(series.coefficients[q - 1]) / 3.0  # per edge
+        got = series.coefficients[q - 1] / 3.0  # per edge
         dev = abs(got - expect) / max(1.0, abs(expect))
         worst = max(worst, dev)
         if dev > 1e-9:
@@ -136,7 +135,7 @@ def test_criterion_02_truncation_bound_on_random_models():
         power = 1.0
         for p, coeff in enumerate(coeffs, start=1):
             power *= eps
-            partial += value_part(coeff) * power
+            partial += coeff * power
             bound = m.n * m.Delta * 2.0 ** (-16 - p)
             err = abs(partial - exact)
             slack = max(slack, err / bound)
@@ -199,7 +198,7 @@ def test_criterion_04_ansatz_matches_extracted_coefficients():
         out = {}
         for q in range(1, upto + 1):
             for members, value in state.table.orders.get(q, {}).items():
-                out[members] = out.get(members, 0j) + value_part(value) * eps**q
+                out[members] = out.get(members, 0j) + value * eps**q
         return out
 
     extracted = extract_creation_coefficients(ground(m, eps0).state)
@@ -225,7 +224,7 @@ def test_criterion_04_ansatz_matches_extracted_coefficients():
     ]
     for msize in (2, 3):
         candidates = [
-            (abs(value_part(v)), members)
+            (abs(v), members)
             for members, v in state.table.orders.get(msize - 1, {}).items()
             if connected_size(graph, members) == msize
         ]
@@ -425,7 +424,7 @@ def test_criterion_09_structural_zeros():
         if state.table.entry_count() != 0:
             failures.append(f"diagonal model n={n} stored coefficients")
         for p in range(2, 7):
-            if value_part(series.coefficients[p - 1]) != 0:
+            if series.coefficients[p - 1] != 0:
                 failures.append(f"diagonal model n={n} has E_{p} != 0")
 
     # no tuple of >= 3 nonempty endpoint subsets is pairwise bit-disjoint
@@ -465,7 +464,7 @@ def test_criterion_09_structural_zeros():
     sb = energy_series(b, 6).coefficients
     su = energy_series(union, 6).coefficients
     for p in range(1, 7):
-        dev = abs(value_part(su[p - 1]) - value_part(sa[p - 1]) - value_part(sb[p - 1]))
+        dev = abs(su[p - 1] - sa[p - 1] - sb[p - 1])
         if dev > 1e-12:
             failures.append(f"union E_{p} deviates by {dev:.2e}")
     dt = time.perf_counter() - t0

@@ -273,7 +273,7 @@ def test_verify_battery_passes(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 5
+    assert len(doc["checks"]) == 6
     names = " ".join(c["name"] for c in doc["checks"])
-    for token in ("kernel", "series", "gap", "correlator", "extract"):
+    for token in ("kernel", "series", "gap", "correlator", "correlator-sites-0-2", "extract"):
         assert token in names

@@ -16,7 +16,6 @@ from ktspin import (
     radius_estimate,
     solve,
     truncation_bound,
-    value_part,
 )
 from ktspin.oracle import ground
 from conftest import (
@@ -34,7 +33,7 @@ TF_SERIES = [0.0, -2.0, 0.0, 2.0, 0.0, -4.0, 0.0, 10.0, 0.0, -28.0, 0.0, 84.0]
 
 def test_single_flip_energy_series_closed_form():
     series = energy_series(tf_edge_model(), 12)
-    got = [value_part(c).real for c in series.coefficients]
+    got = [c.real for c in series.coefficients]
     assert got == pytest.approx(TF_SERIES, abs=1e-12)
     assert series.n == 2
     assert series.hermitian

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ktspin import OrthogonalToVacuum, TooManyQubits, energy_series, value_part
+from ktspin import OrthogonalToVacuum, TooManyQubits, energy_series
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import (
     apply_two_site,
@@ -105,6 +105,39 @@ def test_ground_rejects_complex_ground_energy():
         gap(m, 0.1)
 
 
+def _real_chain(n):
+    rng = np.random.default_rng(3)
+    return make_model([1.0] * n, [(i, i + 1, rng.standard_normal((4, 4))) for i in range(n - 1)])
+
+
+def test_sparse_route_rejects_complex_ground_energy():
+    # 12 qubits take the sparse path, which must see the complex lowest
+    # eigenvalue of this real non-Hermitian chain (0.760456-0.112867j)
+    # rather than fail the residual check
+    with pytest.raises(ArithmeticError, match="complex ground energy"):
+        ground(_real_chain(12), 0.2)
+    with pytest.raises(ArithmeticError, match="complex ground energy"):
+        gap(_real_chain(12), 0.2)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_gauged_non_hermitian_model_keeps_the_ground_energy(n):
+    # conjugating every edge term by diag(1, a_u) x diag(1, a_v), a > 0, is
+    # one global similarity that commutes with the fields: same spectrum
+    rng = np.random.default_rng(8)
+    m = random_model(rng, topology_pairs("path", n), n)
+    a = 0.5 + rng.random(n)
+    specs = []
+    for e in m.edges:
+        d = np.kron([1.0, a[e.u]], [1.0, a[e.v]])
+        specs.append((e.u, e.v, d[:, None] * e.op.entries / d[None, :]))
+    gauged = make_model(m.deltas, specs)
+    assert not gauged.hermitian
+    eps = 0.3
+    assert ground(gauged, eps).energy == pytest.approx(ground(m, eps).energy, abs=1e-9)
+    assert gap(gauged, eps) == pytest.approx(gap(m, eps), abs=1e-9)
+
+
 def test_gap_at_zero_strength():
     m = make_model([0.7, 1.3], [(0, 1, tf_edge_model().edges[0].op.entries)])
     assert gap(m, 0.0) == pytest.approx(0.7)
@@ -200,10 +233,10 @@ def test_numeric_series_cross_validates_solver(rng):
     m = random_model(rng, topology_pairs("path", 4), 4)
     longer = energy_series(m, 6)
     fit = numeric_series(m, 4, radius=0.02)
-    a5 = abs(value_part(longer.coefficients[4]))
-    a6 = abs(value_part(longer.coefficients[5]))
+    a5 = abs(longer.coefficients[4])
+    a6 = abs(longer.coefficients[5])
     for i in range(4):
-        got = value_part(longer.coefficients[i]).real
+        got = longer.coefficients[i].real
         q = i + 1
         # leakage of the first two omitted orders, with slack for the rest
         trunc = 3.0 * (a5 * 0.02 ** (5 - q) + a6 * 0.02 ** (6 - q))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ktspin import (
     CorrelatorQuery,
@@ -13,11 +15,14 @@ from ktspin import (
     SelfLoop,
     choose_correlator_order,
     correlator,
+    energy_series,
     restrict_neighborhood,
+    solve,
 )
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
+from ktspin.solver import _mask_members, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -154,3 +159,90 @@ def test_identity_observable_has_flat_response(rng):
     for c in r.coefficients[1:]:
         assert abs(c) <= 1e-14
     assert r.value == pytest.approx(1.0)
+
+
+def _small_ints(draw, hermitian):
+    ints = st.lists(st.integers(-2, 2), min_size=16, max_size=16)
+    mat = np.array(draw(ints), dtype=complex).reshape(4, 4)
+    if hermitian:
+        mat = mat + 1j * np.array(draw(ints)).reshape(4, 4)
+        mat = (mat + mat.conj().T) / 2
+    return mat
+
+
+@st.composite
+def correlator_cases(draw):
+    """A connected model on 2-6 qubits, two distinct sites, an observable, an order.
+
+    Edge operators and the observable have small-integer entries with
+    exact zeros; edge operators are Hermitian or real non-Hermitian.  The
+    sites need not be adjacent.
+    """
+    n = draw(st.integers(2, 6))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in pairs]
+    if others:
+        pairs += draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    hermitian = draw(st.booleans())
+    specs = []
+    for a, b in pairs:
+        mat = _small_ints(draw, hermitian)
+        mat /= max(1.0, np.linalg.svd(mat, compute_uv=False)[0])
+        specs.append((a, b, mat))
+    deltas = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    s = draw(st.integers(0, n - 1))
+    t = (s + draw(st.integers(1, n - 1))) % n
+    obs = _small_ints(draw, True)
+    return make_model(deltas, specs), s, t, obs, draw(st.integers(1, 4))
+
+
+def _energy_slope(m, s, t, obs, q, lams):
+    """dE_q/dlam at 0 for the model plus lam * obs on (s, t), by exact interpolation.
+
+    E_q is a polynomial of degree q in lam, so q + 1 nonzero samples fix it.
+    """
+    specs = [(e.u, e.v, e.op.entries) for e in m.edges]
+    samples = []
+    for lam in lams[: q + 1]:
+        series = energy_series(make_model(m.deltas, specs + [(s, t, lam * obs)]), q)
+        samples.append(series.coefficients[q - 1])
+    vander = np.vander(np.asarray(lams[: q + 1]), q + 1, increasing=True)
+    return np.linalg.solve(vander, np.asarray(samples))[1], max(abs(x) for x in samples)
+
+
+@given(correlator_cases())
+def test_coefficients_are_energy_derivatives(case):
+    m, s, t, obs, p = case
+    # certified; an all-zero model certifies every strength, so cap it
+    eps = min(m.eps0_star / (2 * m.d), 1e-3)
+    r = correlator(m, query(s, t, obs, eps, p))
+    lams = [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
+    for q in range(p + 1):
+        want, scale = _energy_slope(m, s, t, obs, q + 1, lams)
+        assert abs(r.coefficients[q] - want) <= 1e-9 * max(1.0, scale)
+    if m.hermitian:
+        exact = expectation(ground(m, eps).state, obs, s, t)
+        assert abs(r.value - exact) <= r.bound + 1e-10
+
+
+def test_derivative_only_sets_keep_the_slopes():
+    # non-adjacent sites on a ring: the observable edge creates sets that no
+    # model edge does, so their value is exactly zero while their derivative
+    # is not; they feed later orders, and the slopes must still be exact
+    rng = np.random.default_rng(20260813)
+    m = random_model(rng, topology_pairs("ring", 12), 12)
+    zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    p = 5
+    state = solve(m, p - 1)
+    entries = tuple(tuple(row) for row in zz.tolist())
+    tangents, _values = tangent_pass(state, (2, 7, entries), p)
+    derivative_only = [
+        mask for q in range(1, p) for mask in tangents[q]
+        if _mask_members(mask) not in state.table.orders.get(q, {})
+    ]
+    assert len(derivative_only) > 50
+    r = correlator(m, query(2, 7, zz, m.eps0_star / (2 * m.d), p))
+    lams = [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0, -1.5]
+    for q in range(p + 1):
+        want, scale = _energy_slope(m, 2, 7, zz, q + 1, lams)
+        assert abs(r.coefficients[q] - want) <= 1e-9 * max(1.0, scale)

@@ -7,8 +7,7 @@ import json
 
 import pytest
 
-from ktspin import DualScalar, EmptySet
-from ktspin.scalars import derivative_part, value_part
+from ktspin import EmptySet
 from ktspin.setalg import (
     CoefficientTable,
     bin_candidates,
@@ -43,11 +42,11 @@ def test_insert_lookup_and_counts():
 def test_insert_zero_is_dropped():
     t = CoefficientTable()
     table_insert(t, 1, (0,), 0.0)
-    table_insert(t, 1, (1,), DualScalar(0.0, 0.0))
+    table_insert(t, 1, (1,), complex(-0.0, 0.0))
     assert t.entry_count() == 0
     assert t.orders == {}
-    # a dual with live derivative channel is NOT zero
-    table_insert(t, 1, (2,), DualScalar(0.0, 3.0))
+    # a purely imaginary value is NOT zero
+    table_insert(t, 1, (2,), 3.0j)
     assert t.entry_count() == 1
 
 
@@ -94,7 +93,7 @@ def test_dump_coefficients_sorted_jsonl():
     t = CoefficientTable()
     table_insert(t, 2, (1,), 0.25)
     table_insert(t, 1, (0, 2), -1.0 + 2.0j)
-    table_insert(t, 1, (0, 1), DualScalar(3.0, -7.0))
+    table_insert(t, 1, (0, 1), 3.0 - 7.0j)
     buf = io.StringIO()
     dump_coefficients(t, buf)
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -105,20 +104,15 @@ def test_dump_coefficients_sorted_jsonl():
     ]
     assert lines[1] == {"q": 1, "M": [0, 2], "re": -1.0, "im": 2.0}
     assert lines[0]["re"] == 3.0
-
-    deriv = io.StringIO()
-    dump_coefficients(t, deriv, derivative=True)
-    dlines = [json.loads(line) for line in deriv.getvalue().splitlines()]
-    assert dlines[0]["re"] == -7.0
-    assert dlines[1]["re"] == 0.0
+    assert lines[0]["im"] == -7.0
+    assert lines[2] == {"q": 2, "M": [1], "re": 0.25, "im": 0.0}
 
 
-def _json_lines(table, derivative):
-    part = derivative_part if derivative else value_part
+def _json_lines(table):
     out = []
     for order in sorted(table.orders):
         for members in sorted(table.orders[order]):
-            val = part(table.orders[order][members])
+            val = complex(table.orders[order][members])
             line = {"q": order, "M": list(members), "re": val.real, "im": val.imag}
             out.append(json.dumps(line, separators=(", ", ": ")) + "\n")
     return "".join(out)
@@ -129,13 +123,13 @@ def test_dump_coefficients_matches_json_spelling():
     table_insert(t, 1, (0,), complex(-0.0, 5e-324))
     table_insert(t, 1, (3, 17), complex(1e300, -2.5e-308))
     table_insert(t, 2, (1,), complex(-1.7976931348623157e308, 0.1))
-    table_insert(t, 2, (0, 1, 2), DualScalar(1e-320 + 0j, complex(-0.0, 3e299)))
-    table_insert(t, 3, (4,), DualScalar(0.0, complex(1 / 3, -1e-300)))
+    table_insert(t, 2, (0, 1, 2), 1e-320 + 0j)
+    table_insert(t, 2, (0, 3), complex(-0.0, 3e299))
+    table_insert(t, 3, (4,), complex(1 / 3, -1e-300))
     table_insert(t, 3, (2, 5), complex(float("nan"), float("inf")))
     table_insert(t, 4, (9,), complex(-float("inf"), -0.0))
-    for derivative in (False, True):
-        buf = io.StringIO()
-        dump_coefficients(t, buf, derivative=derivative)
-        assert buf.getvalue() == _json_lines(t, derivative)
-    assert '"re": -0.0, "im": 5e-324' in _json_lines(t, False)
-    assert '"re": NaN, "im": Infinity' in _json_lines(t, False)
+    buf = io.StringIO()
+    dump_coefficients(t, buf)
+    assert buf.getvalue() == _json_lines(t)
+    assert '"re": -0.0, "im": 5e-324' in _json_lines(t)
+    assert '"re": NaN, "im": Infinity' in _json_lines(t)

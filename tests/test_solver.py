@@ -6,14 +6,14 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ktspin import DualScalar, solve
+from ktspin import solve
 from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import one_norm, table_lookup
-from ktspin.solver import _prepare_terms, advance_order
+from ktspin.solver import _mask_members, advance_order, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -108,29 +108,52 @@ def test_reruns_are_identical(rng):
     assert a.norms == b.norms
 
 
-def _dual_terms(m):
-    """Prepared terms with a derivative channel on the second edge."""
-    terms = _prepare_terms(m)
-    ru, rv, entries = terms[1]
-    dual = [
-        [DualScalar(entries[i][j], 1.0j * (i - j)) for j in range(4)]
-        for i in range(4)
-    ]
-    terms[1] = (ru, rv, tuple(tuple(row) for row in dual))
-    return terms
+def _with_edge(m, s, t, mat):
+    """The model with one more edge term ``mat`` on (s, t)."""
+    specs = [(e.u, e.v, e.op.entries) for e in m.edges] + [(s, t, mat)]
+    return make_model(m.deltas, specs)
 
 
-def test_dual_run_value_channel_matches_plain(rng):
+def _derivative_at_zero(lams, samples):
+    """d/dlam at 0 of the polynomial through (lams, samples), exactly interpolated."""
+    vander = np.vander(np.asarray(lams, dtype=float), len(lams), increasing=True)
+    return np.linalg.solve(vander, np.asarray(samples, dtype=complex))[1]
+
+
+def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
+    # the order-q coefficient is a polynomial of degree q in the strength
+    # lam of an extra edge term, so q + 1 samples pin its slope at 0
     m = random_model(rng, topology_pairs("path", 5), 5)
-    plain = solve(m, 4)
-    mixed = solve(m, 4, terms=_dual_terms(m))
-    assert set(mixed.table.orders) == set(plain.table.orders)
-    for q, omap in plain.table.orders.items():
-        got = mixed.table.orders[q]
-        for members, value in omap.items():
-            other = got[members]
-            other_val = other.val if isinstance(other, DualScalar) else other
-            assert other_val == value
+    obs = random_hermitian_op(rng)
+    s, t, order = 3, 1, 4
+    entries = tuple(tuple(row) for row in obs.tolist())
+    tangents, values = tangent_pass(solve(m, order - 1), (s, t, entries), order)
+    lams = [-1.0, -0.5, 0.5, 1.0, 1.5]
+    tables = [solve(_with_edge(m, s, t, lam * obs), order).table for lam in lams]
+    checked = 0
+    for q in range(1, order + 1):
+        members_seen = set()
+        for table in tables:
+            members_seen.update(table.orders.get(q, {}))
+        for members in members_seen:
+            mask = sum(1 << w for w in members)
+            if q == order and len(members) > 2:
+                assert mask not in tangents[q]
+                continue
+            want = _derivative_at_zero(
+                lams[: q + 1], [table_lookup(tb, q, members) for tb in tables[: q + 1]]
+            )
+            got = tangents[q].get(mask, 0j)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            checked += got != 0
+        assert all(_mask_members(mask) in members_seen for mask in tangents[q])
+    assert checked > 20
+    # the last order's values at (s,), (t,), (s, t) are the plain solve's, bit for bit
+    plain = solve(m, order).table
+    for members in ((1,), (3,), (1, 3)):
+        assert values.get(sum(1 << w for w in members), 0) == table_lookup(plain, order, members)
+    # a value state solved further gives the same tables
+    assert tangent_pass(solve(m, order + 1), (s, t, entries), order) == (tangents, values)
 
 
 def test_advance_order_resumes_incrementally(rng):
@@ -142,17 +165,6 @@ def test_advance_order_resumes_incrementally(rng):
     full = solve(m, 4)
     assert state.table.orders == full.table.orders
     assert state.norms == full.norms
-    # derivative-carrying entries resume the same way
-    terms = _dual_terms(m)
-    dual = solve(m, 1, terms=terms)
-    for _ in range(3):
-        advance_order(dual)
-    full_dual = solve(m, 4, terms=terms)
-    assert dual.table.orders == full_dual.table.orders
-    assert any(
-        isinstance(value, DualScalar) and value.der != 0
-        for value in dual.table.orders[4].values()
-    )
 
 
 def test_coefficients_match_exact_ground_state(rng):
@@ -193,22 +205,33 @@ def test_solve_leaves_no_reference_cycles(rng):
 def small_connected_models(draw):
     """Connected graphs on 2-5 qubits with small-integer edge operators.
 
-    The entries include exact zeros.  Non-Hermitian operators are real, so
-    the ground energy stays real and the oracle's eigensolver applies.
+    The entries include exact zeros.  Operators are Hermitian, real
+    non-Hermitian, or complex non-Hermitian.  Half of the complex draws
+    are Hermitian conjugated by a per-vertex gauge diag(1, a_w): similar
+    to a Hermitian model, so their ground energy stays real; the others
+    often have a complex ground energy and are skipped.
     """
     n = draw(st.integers(2, 5))
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in pairs]
     if others:
         pairs += draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
-    hermitian = draw(st.booleans())
+    kind = draw(st.sampled_from(["complex", "hermitian", "real"]))
+    gauge = None
+    if kind == "complex" and draw(st.booleans()):
+        gauge = draw(st.lists(st.sampled_from([1j, -2j, 0.5 + 0.5j, 2.0]), min_size=n, max_size=n))
     ints = st.lists(st.integers(-2, 2), min_size=16, max_size=16)
     specs = []
     for a, b in pairs:
         mat = np.array(draw(ints), dtype=complex).reshape(4, 4)
-        if hermitian:
+        if kind != "real":
             mat = mat + 1j * np.array(draw(ints)).reshape(4, 4)
+        if kind == "hermitian" or gauge:
             mat = (mat + mat.conj().T) / 2
+        if gauge:
+            # rows and columns are indexed 2 * bit(a) + bit(b)
+            d = np.kron([1.0, gauge[a]], [1.0, gauge[b]])
+            mat = d[:, None] * mat / d[None, :]
         mat /= max(1.0, np.linalg.svd(mat, compute_uv=False)[0])
         u, v = (b, a) if draw(st.booleans()) else (a, b)
         specs.append((u, v, mat))
@@ -222,8 +245,14 @@ def test_coefficients_match_exact_ground_state_on_random_models(m):
     # tolerance, and the order-10 truncation error stays far below it
     order = 10
     eps = 1e-2
+    try:
+        exact = ground(m, eps)
+    except ArithmeticError as err:
+        # a complex ground energy has no real lowest eigenpair to compare with
+        assume("complex ground energy" not in str(err))
+        raise
     state = solve(m, order)
-    extracted = extract_creation_coefficients(ground(m, eps).state)
+    extracted = extract_creation_coefficients(exact.state)
     predicted = {}
     for q in range(1, order + 1):
         for members, value in state.table.orders.get(q, {}).items():
