@@ -24,6 +24,7 @@ from .errors import (
     EmptySet,
     InvalidObservable,
     KtspinError,
+    NonFiniteStrength,
     NonPositiveGap,
     NonPositivePrecision,
     OrthogonalToVacuum,
@@ -63,6 +64,7 @@ __all__ = [
     "EnergySeries",
     "InvalidObservable",
     "KtspinError",
+    "NonFiniteStrength",
     "NonPositiveGap",
     "NonPositivePrecision",
     "OrthogonalToVacuum",

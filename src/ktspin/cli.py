@@ -28,7 +28,7 @@ from .energy import (
     radius_estimate,
     series_from_state,
 )
-from .errors import KtspinError
+from .errors import KtspinError, NonFiniteStrength
 from .kernel import matrix_element
 from .model import (
     EdgeTerm,
@@ -66,7 +66,7 @@ def _emit(payload, as_json, order=None):
 
 def _require_finite(name, value):
     if not math.isfinite(value):
-        raise KtspinError(f"--{name} must be finite, got {value}")
+        raise NonFiniteStrength(f"--{name} must be finite, got {value}")
     return value
 
 
@@ -181,11 +181,12 @@ def _cmd_correlate(args):
         "regime": result.regime,
     }
     if result.regime == REGIME_NONE:
-        print(
-            f"warning: |epsilon| = {abs(eps):.3e} outside the certified "
-            "correlator regime; no rigorous bound attached",
-            file=sys.stderr,
+        reason = (
+            f"|epsilon| = {abs(eps):.3e} outside the certified correlator regime"
+            if math.isfinite(abs(result.value))
+            else "the correlator value is not finite"
         )
+        print(f"warning: {reason}; no rigorous bound attached", file=sys.stderr)
     _emit(payload, args.json)
     if args.strict and result.regime == REGIME_NONE:
         return 3

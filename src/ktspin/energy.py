@@ -16,10 +16,11 @@ Terms are summed edge by edge in that order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import NonPositiveGap, NonPositivePrecision
+from .errors import NonFiniteStrength, NonPositiveGap, NonPositivePrecision
 from .setalg import table_lookup
 from .solver import solve
 
@@ -117,8 +118,12 @@ def energy_estimate(series, eps):
 
     Outside the guaranteed strength range, or when a threshold dropped
     coefficients from the solved table, the value is still returned, the
-    bound is None, and a UserWarning is emitted.
+    bound is None, and a UserWarning is emitted.  A NaN or infinite
+    strength raises NonFiniteStrength: no comparison with ``eps0`` can
+    place it.
     """
+    if not math.isfinite(abs(eps)):
+        raise NonFiniteStrength(f"epsilon must be finite, got {eps}")
     value = 0j
     power = 1.0
     for coeff in series.coefficients:

@@ -43,6 +43,10 @@ class NonPositivePrecision(KtspinError):
     """A requested precision or order target is not positive."""
 
 
+class NonFiniteStrength(KtspinError):
+    """A perturbation strength is NaN or infinite."""
+
+
 class InvalidObservable(KtspinError):
     """Observable matrix is not Hermitian or has the wrong shape."""
 

@@ -86,9 +86,14 @@ def parse_pauli_expression(text):
 
 
 class TwoQubitOperator:
-    """Immutable 4x4 complex operator on an ordered pair of vertices."""
+    """Immutable 4x4 complex operator on an ordered pair of vertices.
 
-    __slots__ = ("entries",)
+    The entries are read-only, so the spectral norm and the deviation
+    from Hermitian are computed once, on first use, and then reused by
+    every model that shares the operator.
+    """
+
+    __slots__ = ("entries", "_norm", "_skew")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=complex)
@@ -98,6 +103,8 @@ class TwoQubitOperator:
             raise ParseError("edge operator has non-finite entries")
         arr.setflags(write=False)
         self.entries = arr
+        self._norm = None
+        self._skew = None
 
     @classmethod
     def from_pauli(cls, text):
@@ -105,10 +112,15 @@ class TwoQubitOperator:
 
     def norm(self):
         """Spectral norm (largest singular value)."""
-        return float(np.linalg.svd(self.entries, compute_uv=False)[0])
+        if self._norm is None:
+            self._norm = float(np.linalg.svd(self.entries, compute_uv=False)[0])
+        return self._norm
 
     def is_hermitian(self, tol=1e-12):
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+        """Whether no entry differs from its Hermitian partner by more than tol."""
+        if self._skew is None:
+            self._skew = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return self._skew <= tol
 
     def __repr__(self):
         return f"TwoQubitOperator({self.entries.tolist()!r})"

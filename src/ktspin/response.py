@@ -22,15 +22,26 @@ first-order (dual-number) arithmetic in the dual-number solve's
 operation order: the product rule ``a.val*b.der + a.der*b.val``, and a
 coefficient that is exactly zero in both channels skipped.
 
-Correlators are local: restricting the model to a neighborhood of the
-two sites leaves the order-p answer unchanged, bit for bit, because the
-discarded terms never reach a tuple that carries a derivative or feeds
-the last order's values, and the surviving tuples are enumerated in the
-same relative order, since the renumbering keeps vertex and edge order.
+Correlators are local.  ``coefficients[q]`` is dE_{q+1}/dlam, and
+q <= p.  Each term of E_{q+1} that carries the observable edge is a
+connected cluster made of that edge plus q model edges (with
+multiplicity), so it reaches no vertex more than q hops from {s, t} and
+no edge whose nearer endpoint is more than q - 1 hops away.  The same
+bound holds for every stored value such a term reads: a stored order-j
+set is built only from connected clusters of j edges that cover it,
+and the orders of a term's parts add up to q.  So ``correlator``
+restricts the model to ``restrict_neighborhood(model, s, t, p - 1)``:
+vertices within p hops, edges whose nearer endpoint is within p - 1
+hops.  The answer is unchanged bit for bit, because every term that is
+kept reads the same stored values, and the surviving tuples are
+enumerated in the same relative order, since the renumbering keeps
+vertex and edge order.  One hop less drops an edge of some order-p
+cluster and changes the answer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,7 @@ from .clusters import AdjacencyGraph, distances
 from .errors import (
     DanglingVertexId,
     InvalidObservable,
+    NonFiniteStrength,
     NonPositivePrecision,
     SelfLoop,
 )
@@ -94,6 +106,8 @@ def restrict_neighborhood(model, s, t, order):
     Returns (submodel, mapping) where mapping sends old ids to new ones;
     the renumbering preserves the relative order of vertex ids, and kept
     edges keep their relative order and endpoint orientation.
+    ``correlator`` passes p - 1 for an order-p query: the light cone of
+    its coefficients (see the module docstring).
     """
     n = model.n
     for w in (s, t):
@@ -181,7 +195,9 @@ def correlator(model, query, restrict=True):
 
     The observable is rescaled internally when its norm exceeds the
     model's edge-strength scale, and the result and bound are scaled
-    back, so callers never see the rescaling.
+    back, so callers never see the rescaling.  A NaN or infinite
+    strength raises NonFiniteStrength, and a value that comes out
+    non-finite is never certified.
     """
     n = model.n
     s, t = query.s, query.t
@@ -195,6 +211,8 @@ def correlator(model, query, restrict=True):
     if p < 0:
         raise NonPositivePrecision("correlator order must be >= 0")
     eps = query.epsilon
+    if not math.isfinite(abs(eps)):
+        raise NonFiniteStrength(f"correlator strength must be finite, got {eps}")
     j_max = model.J
     d = model.d
     scale = 1.0
@@ -203,15 +221,14 @@ def correlator(model, query, restrict=True):
         scale = onorm / j_max
     run_matrix = obs.entries / scale if scale != 1.0 else obs.entries
 
-    if restrict:
-        sub, mapping = restrict_neighborhood(model, s, t, p)
-        rs, rt = mapping[s], mapping[t]
-    else:
-        sub, rs, rt = model, s, t
-
     if p == 0:
         ders = [complex(run_matrix[0][0])]
     else:
+        if restrict:
+            sub, mapping = restrict_neighborhood(model, s, t, p - 1)
+            rs, rt = mapping[s], mapping[t]
+        else:
+            sub, rs, rt = model, s, t
         ders = _response_coefficients(sub, rs, rt, run_matrix, p)
 
     value = 0j
@@ -223,7 +240,7 @@ def correlator(model, query, restrict=True):
         value = value * scale
         ders = [der * scale for der in ders]
 
-    if d == 0 or abs(eps) <= model.eps0_star / (2 * d):
+    if math.isfinite(abs(value)) and (d == 0 or abs(eps) <= model.eps0_star / (2 * d)):
         regime = REGIME_CERTIFIED
         bound = 2.0 ** (-16 - p) * j_max * d * (d + 1) * scale
     else:

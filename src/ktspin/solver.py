@@ -285,9 +285,10 @@ def times(av, ad, bv, bd):
 class _TangentPool:
     """One edge's pool for the tangent pass, built section by section.
 
-    ``records`` holds pool records as ``advance_order`` builds them, plus
-    the records of sets that only the tangent table holds (value 0j),
-    each after the value records of its bin; ``ders`` is aligned with it
+    ``records`` holds pool records as ``advance_order`` builds them (in
+    a model edge's last section, only those ``_leaf_candidates`` keeps),
+    plus the records of sets that only the tangent table holds (value
+    0j), each after the value records of its bin; ``ders`` is aligned with it
     (None where the set carries no derivative), ``starts[q]`` is the
     first index of order q, and ``hot[q]`` lists the indices of order q
     that carry a derivative.
@@ -353,7 +354,9 @@ def tangent_pass(state, edge, order):
     last order keeps only sets of at most two vertices, and alongside it
     the pass sums, from the tuples whose outside part lies in {s, t},
     the plain order-``order`` values of (s,), (t,) and (s, t): with the
-    lower tables, that is all the next energy coefficient reads.
+    lower tables, that is all the next energy coefficient reads.  So a
+    model edge builds its records of order ``order - 1``, which only the
+    last step reads, for just the sets that step can use.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
@@ -404,6 +407,7 @@ def tangent_pass(state, edge, order):
         last = k == order
         if last:
             singles, pairs = _value_feeders(table, s, t, k)
+            derived = {_mask_members(m) for m in tan}
         acc = {}
         vacc = {}
         for idx, (u, v, _entries) in enumerate(terms):
@@ -416,16 +420,20 @@ def tangent_pass(state, edge, order):
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
             for q in range(len(tp.starts) - 1, k):
-                if idx != obs_idx and q < top:
-                    pool = state._pools[idx]
-                    base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
-                else:
+                if idx == obs_idx:
                     cands = bin_candidates(table, u, v, q)
                     if last:
                         # later sets never reach a target of at most two vertices
                         cands = [c for c in cands
                                  if len(c[0]) - (u in c[0]) - (v in c[0]) <= 2]
                     base = _edge_records(cands, u, v, q)
+                elif q < top:
+                    pool = state._pools[idx]
+                    base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
+                else:
+                    # the order the state stops at: only the last step reads it
+                    base = _edge_records(_leaf_candidates(table, u, v, q, derived, s, t),
+                                         u, v, q)
                 tp.add_section(base, u, v, q, tangents[q] if ends & touched[q] else None,
                                extras[q])
             _tangent_edge(terms[idx], tp, mecaches[idx], budget,
@@ -463,6 +471,34 @@ def _value_feeders(table, s, t, below):
                     elif rest.bit_count() == 2:
                         pairs.add(rest)
     return singles, pairs
+
+
+def _leaf_candidates(table, u, v, order, derived, s, t):
+    """The stored (set, value) pairs of ``order`` on the edge (u, v) that a last step reads.
+
+    At the last step a model edge reaches the records of the order below
+    only as one-item tuples from ``hot``: sets in ``derived`` (those
+    carrying a derivative) with at most two vertices off the edge, and
+    sets whose vertices off the edge lie in {s, t}.  They come in the
+    order of ``bin_candidates``; dropping the others moves no record
+    that is read relative to another.
+    """
+    omap = table.orders.get(order)
+    if not omap:
+        return []
+    near = {u, v, s, t}
+    out = []
+    for w, skip in ((u, None), (v, u)):
+        for members in table.bins.get(w, {}).get(order, ()):
+            if skip in members:
+                continue
+            if members in derived:
+                if len(members) - (u in members) - (v in members) > 2:
+                    continue
+            elif not near.issuperset(members):
+                continue
+            out.append((members, omap[members]))
+    return out
 
 
 def _freeze_tangent(state, acc):

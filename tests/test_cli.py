@@ -197,6 +197,24 @@ def test_correlate_outside_regime_warns_and_strict_exits_3(capsys, tf_path):
     capsys.readouterr()
 
 
+def test_correlate_never_certifies_a_non_finite_value(capsys, tmp_path):
+    # all-zero edge: every finite strength is in the window, but 0 * eps^2
+    # overflows to NaN
+    path = tmp_path / "zero.json"
+    save_model(make_model([1.0, 1.0], [(0, 1, np.zeros((4, 4)))]), path)
+    argv = [
+        "correlate", str(path), "--s", "0", "--t", "1",
+        "--observable", "ZZ", "--epsilon", "1e300", "--order", "3", "--json",
+    ]
+    code, doc, err = run_json(capsys, argv)
+    assert code == 0
+    assert doc["regime"] == "none"
+    assert doc["bound"] is None
+    assert "not finite" in err
+    assert main(argv + ["--strict"]) == 3
+    capsys.readouterr()
+
+
 def test_correlate_observable_from_file(capsys, tf_path, tmp_path):
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps({"pauli": "ZI"}))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ktspin import (
+    NonFiniteStrength,
     NonPositiveGap,
     NonPositivePrecision,
     choose_order,
@@ -75,6 +76,14 @@ def test_estimate_tracks_exact_energy():
         value, bound = energy_estimate(series, 0.05)
     assert bound is None
     assert value.real == pytest.approx(tf_exact_energy(0.05), abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_estimate_rejects_non_finite_strength(eps):
+    # abs(nan) > eps0 is False, so a NaN strength would pass for certified
+    series = energy_series(tf_edge_model(), 4)
+    with pytest.raises(NonFiniteStrength):
+        energy_estimate(series, eps)
 
 
 def test_threshold_drop_withdraws_the_bound():

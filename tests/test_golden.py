@@ -15,9 +15,18 @@ import hashlib
 import json
 import random
 
-from ktspin import CorrelatorQuery, TwoQubitOperator, correlator, load_model
+from ktspin import (
+    CorrelatorQuery,
+    TwoQubitOperator,
+    correlator,
+    load_model,
+    model_from_dict,
+    solve,
+)
 from ktspin.cli import main
 from ktspin.model import parse_pauli_expression
+from ktspin.solver import _mask_members, tangent_pass
+from conftest import grid_pairs
 
 # sha256 of the bytes named in each test, from the build these outputs were
 # first checked against
@@ -25,6 +34,8 @@ ENERGY_DUMP = "c7d851d613df17622f601ace911e87a31a6d9a3bccb2f654743890a222f3d09e"
 ENERGY_COEFFICIENTS = "e2f8a4c2ab4a5b150bff25f510d4165f8b576396cda8d883b2e3417018e8a69a"
 SERIES_COEFFICIENTS = "748b1f37d7b35899fe4294438195449a67634cd8c7d042dfdd5c725f8ff9d2cd"
 CORRELATOR_COEFFICIENTS = "83b6c8baa4a45b8c73b1bb1a6497e35d91ffd26ac93dd09194185472394c4200"
+RING_CORRELATOR = "82058b67831434821ed94d428c5b0594649e22b5f8770d1b27e409d0d76b2a1f"
+GRID_CORRELATOR = "c45d538d092fb2b7a807d955fab0a9770e43d2d2b756f7b9549ab8e84bbfa22a"
 
 
 def _digest(data):
@@ -53,6 +64,26 @@ def golden_doc():
                     mat[r][c] = [re, im]
                     mat[c][r] = [re, -im]
         edges.append({"u": u, "v": v, "matrix": mat})
+    vertices = [{"id": i, "delta": 0.5 + rng.random()} for i in range(n)]
+    return {"vertices": vertices, "edges": edges}
+
+
+def _hermitian(rng, scale=1.0):
+    """4x4 Hermitian matrix as [re, im] pairs, entries uniform in [-scale, scale]."""
+    mat = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    for r in range(4):
+        mat[r][r] = [rng.uniform(-scale, scale), 0.0]
+        for c in range(r + 1, 4):
+            re, im = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+            mat[r][c] = [re, im]
+            mat[c][r] = [re, -im]
+    return mat
+
+
+def hermitian_doc(pairs, n, seed):
+    """Model of Hermitian edges on the given pairs, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    edges = [{"u": u, "v": v, "matrix": _hermitian(rng)} for u, v in pairs]
     vertices = [{"id": i, "delta": 0.5 + rng.random()} for i in range(n)]
     return {"vertices": vertices, "edges": edges}
 
@@ -97,3 +128,29 @@ def test_correlator_coefficient_bytes(tmp_path):
             query = CorrelatorQuery(s=s, t=t, observable=obs, epsilon=1e-8, order=4)
             lines.append(repr(correlator(model, query).coefficients))
     assert _digest("\n".join(lines)) == CORRELATOR_COEFFICIENTS
+
+
+def test_ring_correlator_with_derivative_only_sets_bytes():
+    # sites 2 and 7 are five hops apart, so the observable edge builds sets
+    # that no model edge builds: their value is exactly zero and their
+    # derivative is not, and their place in the tangent pass's pools is
+    # the part of the summation order most easily moved
+    model = model_from_dict(hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212))
+    state = solve(model, 4)
+    zz = parse_pauli_expression("0.5 ZZ")
+    tangents, _values = tangent_pass(state, (2, 7, tuple(map(tuple, zz.tolist()))), 5)
+    assert any(_mask_members(m) not in state.table.orders[3] for m in tangents[3])
+    query = CorrelatorQuery(s=2, t=7, observable=TwoQubitOperator(zz), epsilon=1e-8, order=5)
+    assert _digest(repr(correlator(model, query).coefficients)) == RING_CORRELATOR
+
+
+def test_grid_correlator_bytes():
+    # on this query, putting the derivative-only sets of a bin's first part
+    # after its second part moves the last bits of the coefficients
+    model = model_from_dict(hermitian_doc(grid_pairs(3, 3), 9, 902))
+    mat = _hermitian(random.Random(215), 0.3)
+    obs = TwoQubitOperator([[complex(re, im) for re, im in row] for row in mat])
+    # far below the edge norms, so no rescaling by a singular value enters
+    assert obs.norm() < model.J / 2
+    query = CorrelatorQuery(s=1, t=5, observable=obs, epsilon=1e-8, order=4)
+    assert _digest(repr(correlator(model, query).coefficients)) == GRID_CORRELATOR

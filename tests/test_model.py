@@ -92,6 +92,26 @@ def test_hermitian_detection():
     assert not TwoQubitOperator(skew).is_hermitian()
 
 
+def test_cached_norm_and_hermitian_flag_stay_faithful(rng):
+    op = TwoQubitOperator(random_hermitian_op(rng, norm=1.7))
+    first = op.norm()
+    assert op.norm() == first == float(np.linalg.svd(op.entries, compute_uv=False)[0])
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 1e-9
+    nearly = TwoQubitOperator(op.entries + skew)
+    assert not nearly.is_hermitian()
+    # a looser tolerance is answered, not read off the default's cached flag
+    assert nearly.is_hermitian(1e-8)
+    assert not nearly.is_hermitian()
+    assert op.is_hermitian() and not op.is_hermitian(-1.0)
+    with pytest.raises(ValueError):
+        op.entries[0, 0] = 2.0
+    assert op.norm() == first
+    m = make_model([1.0, 1.0], [(0, 1, op.entries), (0, 1, nearly.entries)])
+    assert m.J == max(first, nearly.norm())
+    assert not m.hermitian
+
+
 def test_validate_rejects_bad_inputs():
     with pytest.raises(NonPositiveGap):
         make_model([1.0, 0.0], [])

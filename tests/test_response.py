@@ -11,6 +11,7 @@ from ktspin import (
     CorrelatorQuery,
     DanglingVertexId,
     InvalidObservable,
+    NonFiniteStrength,
     NonPositivePrecision,
     SelfLoop,
     choose_correlator_order,
@@ -19,11 +20,13 @@ from ktspin import (
     restrict_neighborhood,
     solve,
 )
+from ktspin import response
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
 from ktspin.solver import _mask_members, tangent_pass
 from conftest import (
+    grid_pairs,
     make_model,
     random_hermitian_op,
     random_model,
@@ -95,6 +98,23 @@ def test_regime_none_beyond_threshold():
     assert r.bound is None
 
 
+def test_non_finite_strength_is_never_certified():
+    # all-zero edge: J = 0, so eps0_star and the certified strength are inf
+    m = make_model([1.0, 1.0], [(0, 1, np.zeros((4, 4)))])
+    zz = parse_pauli_expression("ZZ")
+    for eps in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(NonFiniteStrength):
+            correlator(m, query(0, 1, zz, eps, 1))
+    # a finite strength whose powers overflow: 0 * inf makes the value NaN
+    r = correlator(m, query(0, 1, zz, 1e300, 3))
+    assert np.isnan(r.value)
+    assert r.regime == REGIME_NONE
+    assert r.bound is None
+    r = correlator(m, query(0, 1, zz, 1e3, 3))
+    assert r.value == 1.0
+    assert r.regime == REGIME_CERTIFIED
+
+
 def test_large_observable_is_rescaled_consistently(rng):
     m = random_model(rng, topology_pairs("path", 4), 4)
     obs = random_hermitian_op(rng)
@@ -118,6 +138,33 @@ def test_restriction_is_bit_identical(rng):
         assert cut.value == full.value
         assert cut.coefficients == full.coefficients
         assert cut.bound == full.bound
+    # the light cone is tight: one hop less changes these answers.  A random
+    # observable, since a diagonal one (ZZ) leaves the cut edges unread
+    for m in (random_model(rng, topology_pairs("ring", 14), 14),
+              random_model(rng, grid_pairs(3, 3), 9)):
+        obs = random_hermitian_op(rng)
+        for s, t in ((0, 1), (3, 5), (2, 6)):
+            for order in range(1, 6):
+                q = query(s, t, obs, m.eps0_star / (2 * m.d), order)
+                full = correlator(m, q, restrict=False)
+                cut = correlator(m, q, restrict=True)
+                assert cut.value == full.value, (s, t, order)
+                assert cut.coefficients == full.coefficients, (s, t, order)
+
+
+def test_correlator_restricts_to_its_light_cone(monkeypatch):
+    m = random_model(np.random.default_rng(7), topology_pairs("ring", 10), 10)
+    asked = []
+
+    def spy(model, s, t, order):
+        asked.append(order)
+        return restrict_neighborhood(model, s, t, order)
+
+    monkeypatch.setattr(response, "restrict_neighborhood", spy)
+    zz = parse_pauli_expression("ZZ")
+    for order in range(5):
+        correlator(m, query(2, 5, zz, 0.0, order))
+    assert asked == [0, 1, 2, 3]
 
 
 def test_restrict_neighborhood_geometry():
@@ -216,6 +263,7 @@ def test_coefficients_are_energy_derivatives(case):
     # certified; an all-zero model certifies every strength, so cap it
     eps = min(m.eps0_star / (2 * m.d), 1e-3)
     r = correlator(m, query(s, t, obs, eps, p))
+    assert r.regime == REGIME_CERTIFIED and np.isfinite(r.value)
     lams = [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
     for q in range(p + 1):
         want, scale = _energy_slope(m, s, t, obs, q + 1, lams)
