@@ -134,8 +134,8 @@ def _cmd_energy(args):
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     payload = {
-        "E": value.real,
-        "E_im": value.imag,
+        "E": _finite_or_none(value.real),
+        "E_im": _finite_or_none(value.imag),
         "bound": _finite_or_none(bound),
         "p": order,
         "eps0": _finite_or_none(series.eps0),
@@ -175,7 +175,7 @@ def _cmd_correlate(args):
     query = CorrelatorQuery(s=args.s, t=args.t, observable=obs, epsilon=eps, order=order)
     result = correlator(model, query)
     payload = {
-        "K": result.value.real,
+        "K": _finite_or_none(result.value.real),
         "bound": _finite_or_none(result.bound),
         "p": result.order,
         "regime": result.regime,

@@ -4,14 +4,17 @@ E_1 sums the vacuum-to-vacuum entry ``entries[0][0]`` of every edge
 term.  For order p > 1 the coefficient reads the stored tables of total
 order p-1 against each edge's vacuum row.  Only nonempty subsets of an
 edge's endpoints contribute, and no three of them are disjoint, so
-every term is one of:
+every term of the edge (u, v) is one of:
 
-- a single set ``(v,)``, ``(u,)`` or ``(u, v)`` at order p-1, times
+- a single set {v}, {u} or {u, v} at order p-1, times
   ``-entries[0][bits]`` with ``bits`` its edge-bit pattern;
-- the two singletons ``(v,)`` at order a and ``(u,)`` at order p-1-a,
-  in either order, times ``entries[0][3] / 2``, for a = 1..p-2.
+- the two singletons {v} at order a and {u} at order p-1-a, in either
+  order, times ``entries[0][3] / 2``, for a = 1..p-2.
 
-Terms are summed edge by edge in that order.
+Terms are summed edge by edge in that order.  ``energy_terms`` yields
+each term as a (value, derivative) pair, so the same closed form serves
+``energy_coefficient`` (values only, every derivative None) and the
+correlator's response coefficients (derivatives along an observable).
 """
 
 from __future__ import annotations
@@ -22,29 +25,49 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteStrength, NonPositiveGap, NonPositivePrecision
 from .setalg import table_lookup
-from .solver import solve
+from .solver import solve, times
 
 
-def _edge_contributions(table, terms, top):
-    """Nonzero terms of the order top+1 coefficient, in summation order."""
-    for u, v, entries in terms:
-        pair = (u, v) if u < v else (v, u)
-        for members, bits in (((v,), 1), ((u,), 2), (pair, 3)):
-            vac = entries[0][bits]
-            if vac != 0:
-                c = table_lookup(table, top, members)
-                if c != 0:
-                    yield (c * vac) * (-1.0)
-        vac = entries[0][3]
-        if vac == 0:
+def vacuum_rows(terms):
+    """Solver edge terms as (u, v, vacuum row of (value, None) pairs)."""
+    return [(u, v, [(cell, None) for cell in entries[0]]) for u, v, entries in terms]
+
+
+def energy_terms(rows, lookup, order):
+    """(value, derivative) of each term of E_order, in summation order.
+
+    ``rows`` holds (u, v, vacuum row) with each cell a (value,
+    derivative) pair, and ``lookup(q, mask)`` gives the order-q
+    coefficient of a vertex mask as such a pair; a derivative of None
+    is absent (see ``solver.times``).  A term whose factors are all
+    exactly zero with no derivative is skipped.
+    """
+    if order == 1:
+        for _u, _v, row in rows:
+            yield row[0]
+        return
+    top = order - 1
+    for u, v, row in rows:
+        bu, bv = 1 << u, 1 << v
+        for mask, bits in ((bv, 1), (bu, 2), (bu | bv, 3)):
+            vv, vd = row[bits]
+            if vv != 0 or vd is not None:
+                cv, cd = lookup(top, mask)
+                if cv != 0 or cd is not None:
+                    pv, pd = times(cv, cd, vv, vd)
+                    yield times(pv, pd, -1.0, None)
+        vv, vd = row[3]
+        if vv == 0 and vd is None:
             continue
         for a in range(1, top):
-            for first, second in (((v,), (u,)), ((u,), (v,))):
-                c1 = table_lookup(table, a, first)
-                if c1 != 0:
-                    c2 = table_lookup(table, top - a, second)
-                    if c2 != 0:
-                        yield (c1 * c2) * vac * 0.5
+            for first, second in ((bv, bu), (bu, bv)):
+                c1v, c1d = lookup(a, first)
+                if c1v != 0 or c1d is not None:
+                    c2v, c2d = lookup(top - a, second)
+                    if c2v != 0 or c2d is not None:
+                        pv, pd = times(c1v, c1d, c2v, c2d)
+                        pv, pd = times(pv, pd, vv, vd)
+                        yield times(pv, pd, 0.5, None)
 
 
 def energy_coefficient(state, order):
@@ -56,14 +79,15 @@ def energy_coefficient(state, order):
             f"state holds orders up to {state.current_order}, "
             f"but order {order} needs {order - 1}"
         )
-    if order == 1:
-        contribs = (entries[0][0] for _u, _v, entries in state.terms)
-    else:
-        contribs = _edge_contributions(state.table, state.terms, order - 1)
+    table = state.table
+
+    def lookup(q, mask):
+        return table_lookup(table, q, mask), None
+
     acc = 0j
-    for contrib in contribs:
-        if contrib != 0:
-            acc += contrib
+    for value, _der in energy_terms(vacuum_rows(state.terms), lookup, order):
+        if value != 0:
+            acc += value
     return acc
 
 

@@ -15,12 +15,11 @@ from two tables:
 
 E_{q+1} reads order q only on sets of at most two vertices, so the
 last order p keeps only those, and its only values that are read (the
-observable edge's vacuum row at (s,), (t,) and (s, t)) come from the
-same pass.  ``_edge_derivatives`` then sums each derivative coefficient
-term by term in the order of ``energy._edge_contributions``, with
-first-order (dual-number) arithmetic in the dual-number solve's
-operation order: the product rule ``a.val*b.der + a.der*b.val``, and a
-coefficient that is exactly zero in both channels skipped.
+observable edge's vacuum row at {s}, {t} and {s, t}) come from the
+same pass.  Each response coefficient is then the derivative channel of
+``energy.energy_terms``, summed term by term in the energy's order:
+the product rule ``a.val*b.der + a.der*b.val`` of ``solver.times``,
+and a coefficient that is exactly zero in both channels skipped.
 
 Correlators are local.  ``coefficients[q]`` is dE_{q+1}/dlam, and
 q <= p.  Each term of E_{q+1} that carries the observable edge is a
@@ -54,23 +53,35 @@ from .errors import (
     NonPositivePrecision,
     SelfLoop,
 )
+from .energy import energy_terms, vacuum_rows
 from .model import SpinModel, TwoQubitOperator, Vertex
-from .setalg import table_lookup
-from .solver import solve, tangent_pass, times
+from .solver import solve, tangent_pass
 
 REGIME_CERTIFIED = "lemma9"
 REGIME_NONE = "none"
 
 
+def _check_strength(eps):
+    if not math.isfinite(abs(eps)):
+        raise NonFiniteStrength(f"correlator strength must be finite, got {eps}")
+
+
 @dataclass
 class CorrelatorQuery:
-    """Two sites, a two-qubit observable on them, a strength, and an order."""
+    """Two sites, a two-qubit observable on them, a strength, and an order.
+
+    A NaN or infinite strength raises NonFiniteStrength here, and again
+    in ``correlator``, since a query's fields can be reassigned.
+    """
 
     s: int
     t: int
     observable: TwoQubitOperator
     epsilon: float
     order: int
+
+    def __post_init__(self):
+        _check_strength(self.epsilon)
 
 
 @dataclass
@@ -126,68 +137,26 @@ def restrict_neighborhood(model, s, t, order):
     return sub, mapping
 
 
-def _edge_derivatives(terms, values, tangents, top):
-    """Derivative terms of E_{top+1}, in ``_edge_contributions`` order.
-
-    ``terms`` holds (u, v, vacuum row) with the row's cells as (value,
-    derivative) pairs; ``values(order, members, mask)`` and ``tangents``
-    give the two channels of a stored coefficient.
-    """
-    for u, v, vac_row in terms:
-        pair = (u, v) if u < v else (v, u)
-        bu, bv = 1 << u, 1 << v
-        for members, mask, bits in (((v,), bv, 1), ((u,), bu, 2), (pair, bu | bv, 3)):
-            vv, vd = vac_row[bits]
-            cd = tangents[top].get(mask)
-            if (vv != 0 or vd is not None) and (cd is not None or vd is not None):
-                cv = values(top, members, mask)
-                if cv != 0 or cd is not None:
-                    yield times(cv, cd, vv, vd)[1] * (-1.0)
-        vv, vd = vac_row[3]
-        if vv == 0 and vd is None:
-            continue
-        for a in range(1, top):
-            for first, m1, second, m2 in (((v,), bv, (u,), bu), ((u,), bu, (v,), bv)):
-                c1d = tangents[a].get(m1)
-                c2d = tangents[top - a].get(m2)
-                if c1d is None and c2d is None and vd is None:
-                    continue  # a plain product carries no derivative
-                c1v = values(a, first, m1)
-                if c1v != 0 or c1d is not None:
-                    c2v = values(top - a, second, m2)
-                    if c2v != 0 or c2d is not None:
-                        pv, pd = times(c1v, c1d, c2v, c2d)
-                        yield times(pv, pd, vv, vd)[1] * 0.5
-
-
-def _derivative_coefficient(terms, values, tangents, order):
-    """Derivative of E_order, summed as ``energy_coefficient`` sums values."""
-    if order == 1:
-        contribs = (row[0][1] for _u, _v, row in terms if row[0][1] is not None)
-    else:
-        contribs = _edge_derivatives(terms, values, tangents, order - 1)
-    acc = 0j
-    for der in contribs:
-        if der != 0:
-            acc += der
-    return acc if acc != 0 else 0j
-
-
 def _response_coefficients(sub, s, t, matrix, p):
     """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable."""
     state = solve(sub, max(p - 1, 1))
     entries = tuple(tuple(row) for row in matrix.tolist())
     tangents, last_values = tangent_pass(state, (s, t, entries), p)
-    table = state.table
+    values = [state.table.orders.get(q, {}) for q in range(p)] + [last_values]
 
-    def values(order, members, mask):
-        if order == p:
-            return last_values.get(mask, 0)
-        return table_lookup(table, order, members)
+    def lookup(q, mask):
+        return values[q].get(mask, 0), tangents[q].get(mask)
 
-    terms = [(u, v, [(cell, None) for cell in row[0]]) for u, v, row in state.terms]
-    terms.append((s, t, [(0j, cell if cell != 0 else None) for cell in entries[0]]))
-    return [_derivative_coefficient(terms, values, tangents, q + 1) for q in range(p + 1)]
+    rows = vacuum_rows(state.terms)
+    rows.append((s, t, [(0j, cell if cell != 0 else None) for cell in entries[0]]))
+    out = []
+    for order in range(1, p + 2):
+        acc = 0j
+        for _value, der in energy_terms(rows, lookup, order):
+            if der is not None and der != 0:
+                acc += der
+        out.append(acc if acc != 0 else 0j)
+    return out
 
 
 def correlator(model, query, restrict=True):
@@ -211,8 +180,7 @@ def correlator(model, query, restrict=True):
     if p < 0:
         raise NonPositivePrecision("correlator order must be >= 0")
     eps = query.epsilon
-    if not math.isfinite(abs(eps)):
-        raise NonFiniteStrength(f"correlator strength must be finite, got {eps}")
+    _check_strength(eps)
     j_max = model.J
     d = model.d
     scale = 1.0

@@ -43,6 +43,7 @@ from .kernel import target_matrix_elements
 from .setalg import (
     CoefficientTable,
     bin_candidates,
+    members_of,
     one_norm,
     table_insert,
 )
@@ -110,14 +111,19 @@ class SolverState:
         self._mecaches = [[None] * _NCODES for _ in terms]
         self._e0 = {}
 
-    def excitation_energy(self, members):
-        e = self._e0.get(members)
+    def excitation_energy(self, mask):
+        """Sum of ``deltas`` over the set, added in increasing vertex order.
+
+        That sum, up to its last term, is the sum of the set without its
+        highest vertex, so that one is looked up (and cached) rather than
+        added again.
+        """
+        e = self._e0.get(mask)
         if e is None:
-            deltas = self.deltas
-            e = 0.0
-            for w in members:
-                e += deltas[w]
-            self._e0[members] = e
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            e = (self.excitation_energy(rest) if rest else 0.0) + self.deltas[top]
+            self._e0[mask] = e
         return e
 
 
@@ -132,41 +138,29 @@ def _prepare_terms(model):
 def _freeze_order(state, acc, order):
     """Divide accumulated numerators by excitation energies and store them.
 
-    ``acc`` maps vertex bitmasks to numerators; each stored set becomes a
-    strictly increasing tuple here, once.  Entries under the threshold are
-    not stored; their count and one-norm (largest per-vertex sum of
-    magnitudes, as for ``norms``) go to ``state.dropped``.
+    ``acc`` maps vertex bitmasks to numerators.  Entries under the
+    threshold are not stored; their count and one-norm (largest per-vertex
+    sum of magnitudes, as for ``norms``) go to ``state.dropped``.
     """
     table = state.table
     threshold = state.threshold
     dropped = {}
     count = 0
     for mask, numerator in acc.items():
-        members = _mask_members(mask)
-        value = numerator / state.excitation_energy(members)
+        value = numerator / state.excitation_energy(mask)
         if value == 0:
             continue
         if threshold > 0.0:
             mag = abs(value)
             if mag < threshold:
                 count += 1
-                for w in members:
+                for w in members_of(mask):
                     dropped[w] = dropped.get(w, 0.0) + mag
                 continue
-        table_insert(table, order, members, value)
+        table_insert(table, order, mask, value)
     state.current_order = order
     state.norms.append(one_norm(table, order))
     state.dropped.append((count, max(dropped.values(), default=0.0)))
-
-
-def _mask_members(mask):
-    """Strictly increasing tuple of the vertex ids set in a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _extend_pools(state, order):
@@ -183,16 +177,13 @@ def _extend_pools(state, order):
 
 
 def _edge_records(candidates, u, v, order):
-    """Pool records of one order for the edge (u, v) from its (set, value) candidates."""
-    out = []
-    for members, value in candidates:
-        sb = (2 if u in members else 0) | (1 if v in members else 0)
-        mask = 0
-        for w in members:
-            if w != u and w != v:
-                mask |= 1 << w
-        out.append((order, mask, _W[sb], value))
-    return out
+    """Pool records of one order for the edge (u, v) from its (mask, value) candidates."""
+    bu, bv = 1 << u, 1 << v
+    off = ~(bu | bv)
+    return [
+        (order, mask & off, _W[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value)
+        for mask, value in candidates
+    ]
 
 
 def _kernel_results(code, entries, bit_masks):
@@ -353,16 +344,16 @@ def tangent_pass(state, edge, order):
     ``advance_order``, with first-order (dual-number) arithmetic.  The
     last order keeps only sets of at most two vertices, and alongside it
     the pass sums, from the tuples whose outside part lies in {s, t},
-    the plain order-``order`` values of (s,), (t,) and (s, t): with the
+    the plain order-``order`` values of {s}, {t} and {s, t}: with the
     lower tables, that is all the next energy coefficient reads.  So a
     model edge builds its records of order ``order - 1``, which only the
     last step reads, for just the sets that step can use.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
-    after the value table's sets in each bin; the dual-number solve put
-    it where its first contribution arrived, so with such sets the last
-    bits of a sum can differ from that order.
+    after the value table's sets in each bin, not where its first
+    contribution arrived, so with such sets the last bits of a sum can
+    differ from a dual-number solve with the observable edge added.
     """
     s, t, obs_entries = edge
     st = (1 << s) | (1 << t)
@@ -375,15 +366,10 @@ def tangent_pass(state, edge, order):
                       (st, obs_entries[3][0])):
         if der != 0:
             acc[mask] = der
-    tangents = {1: _freeze_tangent(state, acc)}
-    values = {}
+    tangents = {1: _divide(state, acc)}
     if order == 1:
         omap = table.orders.get(1, {})
-        for mask in (1 << t, 1 << s, st):
-            val = omap.get(_mask_members(mask), 0)
-            if val != 0:
-                values[mask] = val
-        return tangents, values
+        return tangents, {mask: omap[mask] for mask in (1 << t, 1 << s, st) if mask in omap}
 
     terms = list(state.terms)
     terms.append(edge)
@@ -394,11 +380,12 @@ def tangent_pass(state, edge, order):
     touched = [0]   # touched[q]: vertices of the order-q derivative sets
     extras = [[]]   # extras[q]: masks only the tangent table holds
     hit = 0         # vertices of every derivative set so far
+    vacc = {}       # the last step's value numerators
     for k in range(2, order + 1):
         budget = k - 1
         tan = tangents[budget]
         omap = table.orders.get(budget, {})
-        extras.append([m for m in tan if _mask_members(m) not in omap])
+        extras.append([m for m in tan if m not in omap])
         seen = 0
         for mask in tan:
             seen |= mask
@@ -407,9 +394,7 @@ def tangent_pass(state, edge, order):
         last = k == order
         if last:
             singles, pairs = _value_feeders(table, s, t, k)
-            derived = {_mask_members(m) for m in tan}
         acc = {}
-        vacc = {}
         for idx, (u, v, _entries) in enumerate(terms):
             ends = (1 << u) | (1 << v)
             if idx != obs_idx and not ends & hit and not (
@@ -424,27 +409,20 @@ def tangent_pass(state, edge, order):
                     cands = bin_candidates(table, u, v, q)
                     if last:
                         # later sets never reach a target of at most two vertices
-                        cands = [c for c in cands
-                                 if len(c[0]) - (u in c[0]) - (v in c[0]) <= 2]
+                        cands = [c for c in cands if (c[0] & ~ends).bit_count() <= 2]
                     base = _edge_records(cands, u, v, q)
                 elif q < top:
                     pool = state._pools[idx]
                     base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
                 else:
                     # the order the state stops at: only the last step reads it
-                    base = _edge_records(_leaf_candidates(table, u, v, q, derived, s, t),
-                                         u, v, q)
+                    base = _edge_records(_leaf_candidates(table, u, v, q, tan, st), u, v, q)
                 tp.add_section(base, u, v, q, tangents[q] if ends & touched[q] else None,
                                extras[q])
             _tangent_edge(terms[idx], tp, mecaches[idx], budget,
                           idx == obs_idx, last, st, acc, vacc)
-        tangents[k] = _freeze_tangent(state, acc)
-        if last:
-            for mask, numerator in vacc.items():
-                val = numerator / state.excitation_energy(_mask_members(mask))
-                if val != 0:
-                    values[mask] = val
-    return tangents, values
+        tangents[k] = _divide(state, acc)
+    return tangents, _divide(state, vacc)
 
 
 def _value_feeders(table, s, t, below):
@@ -459,13 +437,10 @@ def _value_feeders(table, s, t, below):
     singles = st
     pairs = set()
     for w in (s, t):
-        for q, members_list in table.bins.get(w, {}).items():
+        for q, masks in table.bins.get(w, {}).items():
             if q < below:
-                for members in members_list:
-                    rest = 0
-                    for x in members:
-                        rest |= 1 << x
-                    rest &= ~st
+                for mask in masks:
+                    rest = mask & ~st
                     if rest.bit_count() == 1:
                         singles |= rest
                     elif rest.bit_count() == 2:
@@ -473,39 +448,28 @@ def _value_feeders(table, s, t, below):
     return singles, pairs
 
 
-def _leaf_candidates(table, u, v, order, derived, s, t):
-    """The stored (set, value) pairs of ``order`` on the edge (u, v) that a last step reads.
+def _leaf_candidates(table, u, v, order, derived, st):
+    """The stored (mask, value) pairs of ``order`` on the edge (u, v) that a last step reads.
 
     At the last step a model edge reaches the records of the order below
     only as one-item tuples from ``hot``: sets in ``derived`` (those
     carrying a derivative) with at most two vertices off the edge, and
-    sets whose vertices off the edge lie in {s, t}.  They come in the
+    sets whose vertices off the edge lie in ``st``.  They come in the
     order of ``bin_candidates``; dropping the others moves no record
     that is read relative to another.
     """
-    omap = table.orders.get(order)
-    if not omap:
-        return []
-    near = {u, v, s, t}
-    out = []
-    for w, skip in ((u, None), (v, u)):
-        for members in table.bins.get(w, {}).get(order, ()):
-            if skip in members:
-                continue
-            if members in derived:
-                if len(members) - (u in members) - (v in members) > 2:
-                    continue
-            elif not near.issuperset(members):
-                continue
-            out.append((members, omap[members]))
-    return out
+    off = ~((1 << u) | (1 << v))
+    return [
+        (mask, value) for mask, value in bin_candidates(table, u, v, order)
+        if ((mask & off).bit_count() <= 2 if mask in derived else not mask & off & ~st)
+    ]
 
 
-def _freeze_tangent(state, acc):
-    """Divide derivative numerators by excitation energies, as _freeze_order does."""
+def _divide(state, acc):
+    """Numerators divided by excitation energies, as _freeze_order does; zeros left out."""
     out = {}
     for mask, numerator in acc.items():
-        der = numerator / state.excitation_energy(_mask_members(mask))
+        der = numerator / state.excitation_energy(mask)
         if der != 0:
             out[mask] = der
     return out

@@ -41,6 +41,7 @@ from ktspin.oracle import (
     gap,
     ground,
 )
+from ktspin.setalg import members_of
 from conftest import (
     grid_pairs,
     make_model,
@@ -197,7 +198,8 @@ def test_criterion_04_ansatz_matches_extracted_coefficients():
     def predicted(eps, upto):
         out = {}
         for q in range(1, upto + 1):
-            for members, value in state.table.orders.get(q, {}).items():
+            for mask, value in state.table.orders.get(q, {}).items():
+                members = tuple(members_of(mask))
                 out[members] = out.get(members, 0j) + value * eps**q
         return out
 
@@ -224,9 +226,9 @@ def test_criterion_04_ansatz_matches_extracted_coefficients():
     ]
     for msize in (2, 3):
         candidates = [
-            (abs(v), members)
-            for members, v in state.table.orders.get(msize - 1, {}).items()
-            if connected_size(graph, members) == msize
+            (abs(v), tuple(members_of(mask)))
+            for mask, v in state.table.orders.get(msize - 1, {}).items()
+            if connected_size(graph, members_of(mask)) == msize
         ]
         candidates.sort(reverse=True)
         mag, members = candidates[0]

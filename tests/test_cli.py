@@ -27,10 +27,15 @@ def ring_path(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, argv):
+    """Exit code, stdout parsed as strict JSON (no NaN or Infinity), stderr."""
     code = main(argv)
     captured = capsys.readouterr()
-    return code, json.loads(captured.out), captured.err
+    return code, json.loads(captured.out, parse_constant=_reject_constant), captured.err
 
 
 def test_info_reports_derived_quantities(capsys, tf_path):
@@ -197,7 +202,7 @@ def test_correlate_outside_regime_warns_and_strict_exits_3(capsys, tf_path):
     capsys.readouterr()
 
 
-def test_correlate_never_certifies_a_non_finite_value(capsys, tmp_path):
+def test_correlate_never_certifies_a_non_finite_value(capsys, tf_path, tmp_path):
     # all-zero edge: every finite strength is in the window, but 0 * eps^2
     # overflows to NaN
     path = tmp_path / "zero.json"
@@ -208,11 +213,19 @@ def test_correlate_never_certifies_a_non_finite_value(capsys, tmp_path):
     ]
     code, doc, err = run_json(capsys, argv)
     assert code == 0
+    assert doc["K"] is None
     assert doc["regime"] == "none"
     assert doc["bound"] is None
     assert "not finite" in err
     assert main(argv + ["--strict"]) == 3
     capsys.readouterr()
+    # the same overflow in the energy's power sum
+    argv = ["energy", tf_path, "--order", "3", "--epsilon", "1e300", "--json"]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["E"] is None
+    assert doc["E_im"] is None
+    assert doc["bound"] is None
 
 
 def test_correlate_observable_from_file(capsys, tf_path, tmp_path):

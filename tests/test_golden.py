@@ -25,7 +25,7 @@ from ktspin import (
 )
 from ktspin.cli import main
 from ktspin.model import parse_pauli_expression
-from ktspin.solver import _mask_members, tangent_pass
+from ktspin.solver import tangent_pass
 from conftest import grid_pairs
 
 # sha256 of the bytes named in each test, from the build these outputs were
@@ -139,7 +139,9 @@ def test_ring_correlator_with_derivative_only_sets_bytes():
     state = solve(model, 4)
     zz = parse_pauli_expression("0.5 ZZ")
     tangents, _values = tangent_pass(state, (2, 7, tuple(map(tuple, zz.tolist()))), 5)
-    assert any(_mask_members(m) not in state.table.orders[3] for m in tangents[3])
+    assert any(m not in state.table.orders[3] for m in tangents[3])
+    # the converse, so that a key of another kind cannot pass the line above
+    assert any(m in state.table.orders[3] for m in tangents[3])
     query = CorrelatorQuery(s=2, t=7, observable=TwoQubitOperator(zz), epsilon=1e-8, order=5)
     assert _digest(repr(correlator(model, query).coefficients)) == RING_CORRELATOR
 

@@ -24,7 +24,7 @@ from ktspin import response
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
-from ktspin.solver import _mask_members, tangent_pass
+from ktspin.solver import tangent_pass
 from conftest import (
     grid_pairs,
     make_model,
@@ -105,6 +105,13 @@ def test_non_finite_strength_is_never_certified():
     for eps in (float("inf"), float("nan"), -float("inf")):
         with pytest.raises(NonFiniteStrength):
             correlator(m, query(0, 1, zz, eps, 1))
+        # construction alone refuses it, and so does a query changed afterwards
+        with pytest.raises(NonFiniteStrength):
+            query(0, 1, zz, eps, 1)
+        changed = query(0, 1, zz, 0.0, 1)
+        changed.epsilon = eps
+        with pytest.raises(NonFiniteStrength):
+            correlator(m, changed)
     # a finite strength whose powers overflow: 0 * inf makes the value NaN
     r = correlator(m, query(0, 1, zz, 1e300, 3))
     assert np.isnan(r.value)
@@ -286,9 +293,11 @@ def test_derivative_only_sets_keep_the_slopes():
     tangents, _values = tangent_pass(state, (2, 7, entries), p)
     derivative_only = [
         mask for q in range(1, p) for mask in tangents[q]
-        if _mask_members(mask) not in state.table.orders.get(q, {})
+        if mask not in state.table.orders.get(q, {})
     ]
     assert len(derivative_only) > 50
+    # the converse, so that a key of another kind cannot pass the line above
+    assert any(mask in state.table.orders.get(q, {}) for q in range(1, p) for mask in tangents[q])
     r = correlator(m, query(2, 7, zz, m.eps0_star / (2 * m.d), p))
     lams = [-1.0, -0.5, 0.5, 1.0, 1.5, 2.0, -1.5]
     for q in range(p + 1):

@@ -12,11 +12,17 @@ from ktspin.setalg import (
     CoefficientTable,
     bin_candidates,
     dump_coefficients,
+    members_of,
     one_norm,
     table_insert,
     table_lookup,
     vertex_set,
 )
+
+
+def _m(*members):
+    """Bitmask of the given vertex ids."""
+    return sum(1 << w for w in members)
 
 
 def test_vertex_set_normalizes():
@@ -25,65 +31,69 @@ def test_vertex_set_normalizes():
     assert vertex_set([]) == ()
 
 
+def test_members_of_spells_a_mask_as_its_vertex_ids():
+    assert members_of(0) == []
+    assert members_of(0b1011) == [0, 1, 3]
+    assert members_of(_m(2, 70, 200)) == [2, 70, 200]
+
+
 def test_insert_lookup_and_counts():
     t = CoefficientTable()
-    assert t.max_order() == 0
     assert t.entry_count() == 0
-    table_insert(t, 1, (0, 1), -1.0)
-    table_insert(t, 2, (1,), 0.5j)
-    assert table_lookup(t, 1, (0, 1)) == -1.0
-    assert table_lookup(t, 2, (1,)) == 0.5j
-    assert table_lookup(t, 1, (0,)) == 0
-    assert table_lookup(t, 5, (0, 1)) == 0
-    assert t.max_order() == 2
+    table_insert(t, 1, _m(0, 1), -1.0)
+    table_insert(t, 2, _m(1), 0.5j)
+    assert table_lookup(t, 1, _m(0, 1)) == -1.0
+    assert table_lookup(t, 2, _m(1)) == 0.5j
+    assert table_lookup(t, 1, _m(0)) == 0
+    assert table_lookup(t, 5, _m(0, 1)) == 0
     assert t.entry_count() == 2
 
 
 def test_insert_zero_is_dropped():
     t = CoefficientTable()
-    table_insert(t, 1, (0,), 0.0)
-    table_insert(t, 1, (1,), complex(-0.0, 0.0))
+    table_insert(t, 1, _m(0), 0.0)
+    table_insert(t, 1, _m(1), complex(-0.0, 0.0))
     assert t.entry_count() == 0
     assert t.orders == {}
     # a purely imaginary value is NOT zero
-    table_insert(t, 1, (2,), 3.0j)
+    table_insert(t, 1, _m(2), 3.0j)
     assert t.entry_count() == 1
 
 
 def test_insert_replaces_without_duplicating_bins():
     t = CoefficientTable()
-    table_insert(t, 1, (0, 1), 1.0)
-    table_insert(t, 1, (0, 1), 2.0)
-    assert table_lookup(t, 1, (0, 1)) == 2.0
-    assert t.bins[0][1] == [(0, 1)]
+    table_insert(t, 1, _m(0, 1), 1.0)
+    table_insert(t, 1, _m(0, 1), 2.0)
+    assert table_lookup(t, 1, _m(0, 1)) == 2.0
+    assert t.bins[0][1] == [_m(0, 1)]
 
 
 def test_empty_set_rejected():
     t = CoefficientTable()
     with pytest.raises(EmptySet):
-        table_insert(t, 1, (), 1.0)
+        table_insert(t, 1, 0, 1.0)
     with pytest.raises(EmptySet):
-        table_lookup(t, 1, ())
+        table_lookup(t, 1, 0)
 
 
 def test_bin_candidates_order_and_dedup():
     t = CoefficientTable()
-    table_insert(t, 1, (0,), 1.0)
-    table_insert(t, 1, (0, 1), 2.0)
-    table_insert(t, 1, (1, 2), 3.0)
-    table_insert(t, 1, (3,), 4.0)
+    table_insert(t, 1, _m(0), 1.0)
+    table_insert(t, 1, _m(0, 1), 2.0)
+    table_insert(t, 1, _m(1, 2), 3.0)
+    table_insert(t, 1, _m(3), 4.0)
     got = bin_candidates(t, 0, 1, 1)
     # sets containing 0 first (insertion order), then sets with 1 but not 0
-    assert got == [((0,), 1.0), ((0, 1), 2.0), ((1, 2), 3.0)]
-    assert bin_candidates(t, 3, 2, 1) == [((3,), 4.0), ((1, 2), 3.0)]
+    assert got == [(_m(0), 1.0), (_m(0, 1), 2.0), (_m(1, 2), 3.0)]
+    assert bin_candidates(t, 3, 2, 1) == [(_m(3), 4.0), (_m(1, 2), 3.0)]
     assert bin_candidates(t, 0, 1, 9) == []
 
 
 def test_one_norm_takes_max_over_vertices():
     t = CoefficientTable()
-    table_insert(t, 1, (0,), 3.0)
-    table_insert(t, 1, (0, 1), -4.0)
-    table_insert(t, 1, (2,), 5.0)
+    table_insert(t, 1, _m(0), 3.0)
+    table_insert(t, 1, _m(0, 1), -4.0)
+    table_insert(t, 1, _m(2), 5.0)
     # vertex 0 carries |3| + |-4| = 7, vertex 2 carries 5
     assert one_norm(t, 1) == pytest.approx(7.0)
     assert one_norm(t, 2) == 0.0
@@ -91,9 +101,16 @@ def test_one_norm_takes_max_over_vertices():
 
 def test_dump_coefficients_sorted_jsonl():
     t = CoefficientTable()
-    table_insert(t, 2, (1,), 0.25)
-    table_insert(t, 1, (0, 2), -1.0 + 2.0j)
-    table_insert(t, 1, (0, 1), 3.0 - 7.0j)
+    table_insert(t, 2, _m(1), 0.25)
+    table_insert(t, 1, _m(0, 2), -1.0 + 2.0j)
+    table_insert(t, 1, _m(0, 1), 3.0 - 7.0j)
+    # tuple order differs from numeric mask order: (0, 5) < (1,) and
+    # (2, 70) < (3,), but 0b10 < 0b100001 and 0b1000 < 2**70 + 0b100
+    table_insert(t, 3, _m(1), 1.0)
+    table_insert(t, 3, _m(0, 5), 2.0)
+    table_insert(t, 3, _m(3), 3.0)
+    table_insert(t, 3, _m(2, 70), 4.0)
+    table_insert(t, 3, _m(70), 5.0)
     buf = io.StringIO()
     dump_coefficients(t, buf)
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
@@ -101,33 +118,39 @@ def test_dump_coefficients_sorted_jsonl():
         (1, (0, 1)),
         (1, (0, 2)),
         (2, (1,)),
+        (3, (0, 5)),
+        (3, (1,)),
+        (3, (2, 70)),
+        (3, (3,)),
+        (3, (70,)),
     ]
     assert lines[1] == {"q": 1, "M": [0, 2], "re": -1.0, "im": 2.0}
     assert lines[0]["re"] == 3.0
     assert lines[0]["im"] == -7.0
     assert lines[2] == {"q": 2, "M": [1], "re": 0.25, "im": 0.0}
+    assert lines[5] == {"q": 3, "M": [2, 70], "re": 4.0, "im": 0.0}
 
 
 def _json_lines(table):
     out = []
     for order in sorted(table.orders):
-        for members in sorted(table.orders[order]):
-            val = complex(table.orders[order][members])
-            line = {"q": order, "M": list(members), "re": val.real, "im": val.imag}
+        for members in sorted(map(members_of, table.orders[order])):
+            val = complex(table.orders[order][_m(*members)])
+            line = {"q": order, "M": members, "re": val.real, "im": val.imag}
             out.append(json.dumps(line, separators=(", ", ": ")) + "\n")
     return "".join(out)
 
 
 def test_dump_coefficients_matches_json_spelling():
     t = CoefficientTable()
-    table_insert(t, 1, (0,), complex(-0.0, 5e-324))
-    table_insert(t, 1, (3, 17), complex(1e300, -2.5e-308))
-    table_insert(t, 2, (1,), complex(-1.7976931348623157e308, 0.1))
-    table_insert(t, 2, (0, 1, 2), 1e-320 + 0j)
-    table_insert(t, 2, (0, 3), complex(-0.0, 3e299))
-    table_insert(t, 3, (4,), complex(1 / 3, -1e-300))
-    table_insert(t, 3, (2, 5), complex(float("nan"), float("inf")))
-    table_insert(t, 4, (9,), complex(-float("inf"), -0.0))
+    table_insert(t, 1, _m(0), complex(-0.0, 5e-324))
+    table_insert(t, 1, _m(3, 17), complex(1e300, -2.5e-308))
+    table_insert(t, 2, _m(1), complex(-1.7976931348623157e308, 0.1))
+    table_insert(t, 2, _m(0, 1, 2), 1e-320 + 0j)
+    table_insert(t, 2, _m(0, 3), complex(-0.0, 3e299))
+    table_insert(t, 3, _m(4), complex(1 / 3, -1e-300))
+    table_insert(t, 3, _m(2, 5), complex(float("nan"), float("inf")))
+    table_insert(t, 4, _m(9), complex(-float("inf"), -0.0))
     buf = io.StringIO()
     dump_coefficients(t, buf)
     assert buf.getvalue() == _json_lines(t)

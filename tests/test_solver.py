@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from ktspin import solve
 from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.oracle import extract_creation_coefficients, ground
-from ktspin.setalg import one_norm, table_lookup
-from ktspin.solver import _mask_members, advance_order, tangent_pass
+from ktspin.setalg import members_of, one_norm, table_lookup
+from ktspin.solver import advance_order, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -29,9 +29,9 @@ def test_single_flip_singleton_series():
     want = {1: -1.0, 3: 1.0, 5: -2.0, 7: 5.0}
     for q in range(1, 8):
         for w in (0, 1):
-            assert table_lookup(state.table, q, (w,)) == want.get(q, 0)
+            assert table_lookup(state.table, q, 1 << w) == want.get(q, 0)
         # the exact ground state is a product state: no pair set ever appears
-        assert table_lookup(state.table, q, (0, 1)) == 0
+        assert table_lookup(state.table, q, 0b11) == 0
 
 
 def test_first_order_reads_edge_columns():
@@ -41,9 +41,9 @@ def test_first_order_reads_edge_columns():
     mat[3, 0] = 3.0       # excite the pair
     m = make_model([2.0, 4.0], [(0, 1, mat)])
     state = solve(m, 1)
-    assert table_lookup(state.table, 1, (1,)) == 0.5 / 4.0
-    assert table_lookup(state.table, 1, (0,)) == -2.0j / 2.0
-    assert table_lookup(state.table, 1, (0, 1)) == 3.0 / 6.0
+    assert table_lookup(state.table, 1, 0b10) == 0.5 / 4.0
+    assert table_lookup(state.table, 1, 0b01) == -2.0j / 2.0
+    assert table_lookup(state.table, 1, 0b11) == 3.0 / 6.0
 
 
 def test_parallel_edges_accumulate():
@@ -51,7 +51,7 @@ def test_parallel_edges_accumulate():
     mat[2, 0] = 1.0
     m = make_model([1.0, 1.0], [(0, 1, mat), (0, 1, mat)])
     state = solve(m, 1)
-    assert table_lookup(state.table, 1, (0,)) == 2.0
+    assert table_lookup(state.table, 1, 0b01) == 2.0
 
 
 def test_diagonal_model_stays_empty(rng):
@@ -94,9 +94,9 @@ def test_sets_fit_in_small_connected_clusters(rng):
     seen_orders = set()
     for q, omap in state.table.orders.items():
         seen_orders.add(q)
-        for members in omap:
-            assert len(members) <= q + 1
-            assert connected_size(graph, members) <= q + 1
+        for mask in omap:
+            assert mask.bit_count() <= q + 1
+            assert connected_size(graph, members_of(mask)) <= q + 1
     assert seen_orders == set(range(1, 6))
 
 
@@ -132,26 +132,25 @@ def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
     tables = [solve(_with_edge(m, s, t, lam * obs), order).table for lam in lams]
     checked = 0
     for q in range(1, order + 1):
-        members_seen = set()
+        masks_seen = set()
         for table in tables:
-            members_seen.update(table.orders.get(q, {}))
-        for members in members_seen:
-            mask = sum(1 << w for w in members)
-            if q == order and len(members) > 2:
+            masks_seen.update(table.orders.get(q, {}))
+        for mask in masks_seen:
+            if q == order and mask.bit_count() > 2:
                 assert mask not in tangents[q]
                 continue
             want = _derivative_at_zero(
-                lams[: q + 1], [table_lookup(tb, q, members) for tb in tables[: q + 1]]
+                lams[: q + 1], [table_lookup(tb, q, mask) for tb in tables[: q + 1]]
             )
             got = tangents[q].get(mask, 0j)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
             checked += got != 0
-        assert all(_mask_members(mask) in members_seen for mask in tangents[q])
+        assert all(mask in masks_seen for mask in tangents[q])
     assert checked > 20
     # the last order's values at (s,), (t,), (s, t) are the plain solve's, bit for bit
     plain = solve(m, order).table
-    for members in ((1,), (3,), (1, 3)):
-        assert values.get(sum(1 << w for w in members), 0) == table_lookup(plain, order, members)
+    for mask in (0b10, 0b1000, 0b1010):
+        assert values.get(mask, 0) == table_lookup(plain, order, mask)
     # a value state solved further gives the same tables
     assert tangent_pass(solve(m, order + 1), (s, t, entries), order) == (tangents, values)
 
@@ -180,7 +179,8 @@ def test_coefficients_match_exact_ground_state(rng):
     extracted = extract_creation_coefficients(ground(m, eps).state)
     predicted = {}
     for q in range(1, order + 1):
-        for members, value in state.table.orders.get(q, {}).items():
+        for mask, value in state.table.orders.get(q, {}).items():
+            members = tuple(members_of(mask))
             predicted[members] = predicted.get(members, 0j) + value * eps**q
     scale = max(abs(v) for v in predicted.values())
     tol = 1e-13 * scale
@@ -255,7 +255,8 @@ def test_coefficients_match_exact_ground_state_on_random_models(m):
     extracted = extract_creation_coefficients(exact.state)
     predicted = {}
     for q in range(1, order + 1):
-        for members, value in state.table.orders.get(q, {}).items():
+        for mask, value in state.table.orders.get(q, {}).items():
+            members = tuple(members_of(mask))
             predicted[members] = predicted.get(members, 0j) + value * eps**q
     for members in set(predicted) | set(extracted):
         assert abs(predicted.get(members, 0j) - extracted.get(members, 0j)) <= 1e-11
