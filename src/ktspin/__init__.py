@@ -23,6 +23,7 @@ from .errors import (
     Disconnected,
     EmptySet,
     InvalidObservable,
+    InvalidThreshold,
     KtspinError,
     NonFiniteStrength,
     NonPositiveGap,
@@ -63,6 +64,7 @@ __all__ = [
     "EmptySet",
     "EnergySeries",
     "InvalidObservable",
+    "InvalidThreshold",
     "KtspinError",
     "NonFiniteStrength",
     "NonPositiveGap",

@@ -47,6 +47,10 @@ class NonFiniteStrength(KtspinError):
     """A perturbation strength is NaN or infinite."""
 
 
+class InvalidThreshold(KtspinError):
+    """A coefficient threshold is not a finite number >= 0."""
+
+
 class InvalidObservable(KtspinError):
     """Observable matrix is not Hermitian or has the wrong shape."""
 

@@ -5,7 +5,9 @@ w.  ``members_of`` spells one as the increasing list of its vertex ids.
 The table maps (order, mask) -> scalar and additionally keeps, for every
 vertex, per-order bins listing the masks that contain it, in insertion
 order.  The bins make "all stored sets touching an edge" queries cheap
-and give every consumer a reproducible iteration order.
+and give every consumer a reproducible iteration order.  The solver
+stores each order whole, with ``install_order``, which builds the bins
+and the order's one-norm in one pass.
 """
 
 from __future__ import annotations
@@ -64,6 +66,34 @@ def table_insert(table, order, mask, value):
     if fresh:
         for w in members_of(mask):
             table.bins.setdefault(w, {}).setdefault(order, []).append(mask)
+
+
+def install_order(table, order, omap):
+    """Store a whole order's {mask: nonzero value} map as is, and return its one-norm.
+
+    The map becomes the table's order entry, not a copy, and its masks
+    join their members' bins in the map's order, as ``table_insert``
+    calls in that order would place them.  The per-vertex magnitude
+    totals of ``one_norm`` are summed in the same pass, in bin order.
+    An empty map stores nothing.
+    """
+    if not omap:
+        return 0.0
+    bins = table.bins
+    totals = {}
+    for mask, value in omap.items():
+        _check_set(mask)
+        mag = abs(value)
+        for w in members_of(mask):
+            bins.setdefault(w, {}).setdefault(order, []).append(mask)
+            totals[w] = totals.get(w, 0.0) + mag
+    table.orders[order] = omap
+    # the comparison of one_norm, so that a NaN total never wins
+    best = 0.0
+    for total in totals.values():
+        if total > best:
+            best = total
+    return best
 
 
 def table_lookup(table, order, mask):

@@ -29,24 +29,28 @@ Entries dropped by a positive threshold are counted per order, with
 their one-norm, so a caller can tell that the table is no longer the
 exact series.
 
+Each edge walks a pool of candidate records: the stored sets that meet
+the edge, order by order, each order in bin order.  A solve
+holds only what a later step reads.  The newest order is read straight
+from the bins, since its records only ever form one-item tuples at the
+end of the walk; a pool takes an order in one advance later, when
+longer tuples start to use it.  The excitation-energy cache keeps set
+prefixes, not the sets themselves.
+
 ``tangent_pass`` differentiates a solved table along one extra edge
-term (forward mode with sparsity): it walks the same pools in the same
-order, but only through tuples that carry a derivative.
+term (forward mode with sparsity): it walks the same records in the
+same order, but only through tuples that carry a derivative.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
+from math import isfinite
 
+from .errors import InvalidThreshold
 from .kernel import target_matrix_elements
-from .setalg import (
-    CoefficientTable,
-    bin_candidates,
-    members_of,
-    one_norm,
-    table_insert,
-)
+from .setalg import CoefficientTable, bin_candidates, install_order, members_of
 
 # multiset code of edge-bit patterns: base-5 counts of patterns 1, 2 and 3
 _W = (0, 1, 5, 25)
@@ -114,17 +118,20 @@ class SolverState:
     def excitation_energy(self, mask):
         """Sum of ``deltas`` over the set, added in increasing vertex order.
 
-        That sum, up to its last term, is the sum of the set without its
-        highest vertex, so that one is looked up (and cached) rather than
-        added again.
+        That sum, up to its last term, is the sum of the set's prefix (the
+        set without its highest vertex), so the prefix's sum is looked up,
+        or computed the same way and cached, rather than added again.
+        Only prefixes are cached: a set is divided once, when its order
+        is frozen, but its prefix is shared by many sets.
         """
-        e = self._e0.get(mask)
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        if not rest:
+            return 0.0 + self.deltas[top]
+        e = self._e0.get(rest)
         if e is None:
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            e = (self.excitation_energy(rest) if rest else 0.0) + self.deltas[top]
-            self._e0[mask] = e
-        return e
+            e = self._e0[rest] = self.excitation_energy(rest)
+        return e + self.deltas[top]
 
 
 def _prepare_terms(model):
@@ -138,28 +145,35 @@ def _prepare_terms(model):
 def _freeze_order(state, acc, order):
     """Divide accumulated numerators by excitation energies and store them.
 
-    ``acc`` maps vertex bitmasks to numerators.  Entries under the
-    threshold are not stored; their count and one-norm (largest per-vertex
-    sum of magnitudes, as for ``norms``) go to ``state.dropped``.
+    ``acc`` maps vertex bitmasks to numerators and becomes the order's
+    map: each value is divided in place, then exact zeros and entries
+    under the threshold are deleted, so the survivors keep their order.
+    Dropped entries are counted, and their one-norm (largest per-vertex
+    sum of magnitudes, as for ``norms``) goes to ``state.dropped``.
     """
-    table = state.table
     threshold = state.threshold
+    energy = state.excitation_energy
+    gone = []
     dropped = {}
     count = 0
     for mask, numerator in acc.items():
-        value = numerator / state.excitation_energy(mask)
+        value = numerator / energy(mask)
         if value == 0:
+            gone.append(mask)
             continue
         if threshold > 0.0:
             mag = abs(value)
             if mag < threshold:
+                gone.append(mask)
                 count += 1
                 for w in members_of(mask):
                     dropped[w] = dropped.get(w, 0.0) + mag
                 continue
-        table_insert(table, order, mask, value)
+        acc[mask] = value
+    for mask in gone:
+        del acc[mask]
     state.current_order = order
-    state.norms.append(one_norm(table, order))
+    state.norms.append(install_order(state.table, order, acc))
     state.dropped.append((count, max(dropped.values(), default=0.0)))
 
 
@@ -195,13 +209,19 @@ def _kernel_results(code, entries, bit_masks):
 def advance_order(state):
     """Extend the table by one order from the already stored ones.
 
-    The pools receive the newest stored order here rather than when it is
-    frozen, so the order a solve stops at never builds records.  Kernel
-    results live on the state, one slot per multiset code and edge, and
-    are computed on first use.
+    With budget b (the newest stored order), a record of order b only
+    ever forms a one-item tuple, and it comes last in the top-level walk
+    of its edge's pool.  So the pools receive order b - 1 here, and each
+    edge's walk appends its order-b records, read from the bins, to a
+    copy of its pool, which is freed with the edge.  After a solve to
+    order p the pools hold orders up to p - 2.  Kernel results live on
+    the state, one slot per multiset code and edge, and are computed on
+    first use.
     """
     budget = state.current_order
-    _extend_pools(state, budget)
+    table = state.table
+    if budget > 1:
+        _extend_pools(state, budget - 1)
     acc = {}
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
@@ -245,7 +265,7 @@ def advance_order(state):
                     acc[target] = contrib if prev is None else prev + contrib
 
     for idx, (u, v, entries) in enumerate(state.terms):
-        pool = state._pools[idx]
+        pool = state._pools[idx] + _edge_records(bin_candidates(table, u, v, budget), u, v, budget)
         if not pool:
             continue
         mecache = state._mecaches[idx]
@@ -276,10 +296,12 @@ def times(av, ad, bv, bd):
 class _TangentPool:
     """One edge's pool for the tangent pass, built section by section.
 
-    ``records`` holds pool records as ``advance_order`` builds them (in
-    a model edge's last section, only those ``_leaf_candidates`` keeps),
-    plus the records of sets that only the tangent table holds (value
-    0j), each after the value records of its bin; ``ders`` is aligned with it
+    ``records`` holds pool records as ``advance_order`` builds them: a
+    model edge's sections come from its solver pool, then from the bins
+    for the order the solver's pools never took in, and, in the last
+    section, only those ``_leaf_candidates`` keeps.  It also holds the
+    records of sets that only the tangent table holds (value 0j), each
+    after the value records of its bin; ``ders`` is aligned with it
     (None where the set carries no derivative), ``starts[q]`` is the
     first index of order q, and ``hot[q]`` lists the indices of order q
     that carry a derivative.
@@ -345,9 +367,13 @@ def tangent_pass(state, edge, order):
     last order keeps only sets of at most two vertices, and alongside it
     the pass sums, from the tuples whose outside part lies in {s, t},
     the plain order-``order`` values of {s}, {t} and {s, t}: with the
-    lower tables, that is all the next energy coefficient reads.  So a
-    model edge builds its records of order ``order - 1``, which only the
-    last step reads, for just the sets that step can use.
+    lower tables, that is all the next energy coefficient reads.  So
+    when the state stops at order ``order - 1``, as the correlator's
+    does, a model edge builds its records of that order, which only the
+    last step reads, for just the sets that step can use.  It reads the
+    order below from the bins too, since the state's pools never took
+    it in (see ``advance_order``), and lower orders from its solver
+    pool.  Only the edges the pass touches build any of these.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
@@ -411,9 +437,12 @@ def tangent_pass(state, edge, order):
                         # later sets never reach a target of at most two vertices
                         cands = [c for c in cands if (c[0] & ~ends).bit_count() <= 2]
                     base = _edge_records(cands, u, v, q)
-                elif q < top:
+                elif q < top - 1:
                     pool = state._pools[idx]
                     base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
+                elif q < top:
+                    # the newest order of the last advance never entered the pools
+                    base = _edge_records(bin_candidates(table, u, v, q), u, v, q)
                 else:
                     # the order the state stops at: only the last step reads it
                     base = _edge_records(_leaf_candidates(table, u, v, q, tan, st), u, v, q)
@@ -620,10 +649,15 @@ def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
 def solve(model, order, threshold=0.0):
     """Coefficient tables for all orders 1..order.
 
-    Order 1 reads the vacuum column of each edge term directly.
+    Order 1 reads the vacuum column of each edge term directly.  Entries
+    whose magnitude falls below ``threshold`` are dropped (see
+    ``_freeze_order``); a threshold that is not a finite number >= 0
+    raises InvalidThreshold.
     """
     if order < 1:
         raise ValueError("solve needs order >= 1")
+    if not (isfinite(threshold) and threshold >= 0):
+        raise InvalidThreshold(f"threshold must be a finite number >= 0, got {threshold}")
     state = SolverState(model, threshold)
     acc = {}
     for u, v, entries in state.terms:

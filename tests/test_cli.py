@@ -102,6 +102,18 @@ def test_energy_threshold_drop_has_no_bound_and_strict_exits_3(capsys, tf_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["energy", "series"])
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_bad_threshold_exits_2(capsys, tf_path, command, threshold):
+    argv = [command, tf_path, "--order", "4", "--json", "--threshold", threshold]
+    if command == "energy":
+        argv += ["--epsilon", "1e-6"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold must be a finite number >= 0" in captured.err
+
+
 def test_precision_selects_same_output_as_explicit_order(capsys, tf_path):
     # precision 1e-9 on n=2, Delta=1: first p with 2 * 2^(-16-p) <= 1e-9
     code, by_prec, _ = run_json(

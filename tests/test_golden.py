@@ -36,6 +36,8 @@ SERIES_COEFFICIENTS = "748b1f37d7b35899fe4294438195449a67634cd8c7d042dfdd5c725f8
 CORRELATOR_COEFFICIENTS = "83b6c8baa4a45b8c73b1bb1a6497e35d91ffd26ac93dd09194185472394c4200"
 RING_CORRELATOR = "82058b67831434821ed94d428c5b0594649e22b5f8770d1b27e409d0d76b2a1f"
 GRID_CORRELATOR = "c45d538d092fb2b7a807d955fab0a9770e43d2d2b756f7b9549ab8e84bbfa22a"
+THRESHOLD_DUMP = "46e00242c0574e0230db87f5f716fce4604e60e86e7b0136805450619f8b655e"
+THRESHOLD_COEFFICIENTS = "42ed57eb995558bcbf57ae27ade2710f35fdf8b9c247f2fdd0bef14602c43f4e"
 
 
 def _digest(data):
@@ -114,6 +116,20 @@ def test_energy_dump_and_coefficients_bytes(capsys, tmp_path):
 def test_series_coefficients_bytes(capsys, tmp_path):
     payload = _cli_json(capsys, ["series", _model_path(tmp_path), "--order", "8", "--json"])
     assert _digest(json.dumps(payload["coefficients"])) == SERIES_COEFFICIENTS
+
+
+def test_thresholded_series_dump_bytes(capsys, tmp_path):
+    # threshold 0.1 drops some, not all, of the entries at orders 2 to 5;
+    # the survivors' bin order is the summation order of the next order,
+    # so the coefficients pin it as well as the values
+    dump = tmp_path / "dump.jsonl"
+    payload = _cli_json(
+        capsys,
+        ["series", _model_path(tmp_path), "--order", "6", "--threshold", "0.1", "--json",
+         "--dump-coefficients", str(dump)],
+    )
+    assert _digest(dump.read_bytes()) == THRESHOLD_DUMP
+    assert _digest(json.dumps(payload["coefficients"])) == THRESHOLD_COEFFICIENTS
 
 
 def test_correlator_coefficient_bytes(tmp_path):

@@ -12,6 +12,7 @@ from ktspin.setalg import (
     CoefficientTable,
     bin_candidates,
     dump_coefficients,
+    install_order,
     members_of,
     one_norm,
     table_insert,
@@ -97,6 +98,27 @@ def test_one_norm_takes_max_over_vertices():
     # vertex 0 carries |3| + |-4| = 7, vertex 2 carries 5
     assert one_norm(t, 1) == pytest.approx(7.0)
     assert one_norm(t, 2) == 0.0
+
+
+def test_install_order_matches_one_insert_per_entry():
+    entries = {_m(2, 5): -1.5, _m(0): 2.0j, _m(0, 5): 0.25 - 1j, _m(5): 3.0}
+    one_by_one = CoefficientTable()
+    table_insert(one_by_one, 1, _m(5), 7.0)
+    whole = CoefficientTable()
+    table_insert(whole, 1, _m(5), 7.0)
+    for mask, value in entries.items():
+        table_insert(one_by_one, 2, mask, value)
+    omap = dict(entries)
+    norm = install_order(whole, 2, omap)
+    assert whole.orders[2] is omap
+    assert whole.bins == one_by_one.bins
+    assert list(whole.bins[5][2]) == [_m(2, 5), _m(0, 5), _m(5)]
+    assert norm == one_norm(one_by_one, 2) == 1.5 + abs(0.25 - 1j) + 3.0
+    # an empty order stores nothing, as inserting nothing would
+    assert install_order(whole, 3, {}) == 0.0
+    assert 3 not in whole.orders
+    with pytest.raises(EmptySet):
+        install_order(whole, 4, {0: 1.0})
 
 
 def test_dump_coefficients_sorted_jsonl():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ktspin import solve
+from ktspin import InvalidThreshold, KtspinError, solve
 from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import members_of, one_norm, table_lookup
-from ktspin.solver import advance_order, tangent_pass
+from ktspin.solver import SolverState, advance_order, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -75,6 +75,90 @@ def test_threshold_drops_small_entries():
     assert state.table.entry_count() == 0
     # both singletons go at order 1, each the only set on its vertex
     assert state.dropped == [(2, 1.0), (0, 0.0), (0, 0.0)]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), -float("inf")])
+def test_solve_rejects_a_bad_threshold(threshold):
+    with pytest.raises(InvalidThreshold) as err:
+        solve(tf_edge_model(), 2, threshold)
+    assert isinstance(err.value, KtspinError)
+
+
+def test_threshold_drops_some_entries(rng):
+    m = random_model(rng, topology_pairs("ring", 6), 6)
+    order = 5
+    full = solve(m, order)
+    # the median magnitude of order 2 drops about half of it
+    mags = sorted(abs(x) for x in full.table.orders[2].values())
+    threshold = mags[len(mags) // 2]
+    state = solve(m, order, threshold)
+    table = state.table
+    for q in range(1, order + 1):
+        omap = table.orders[q]
+        for mask, value in omap.items():
+            assert value != 0
+            assert abs(value) >= threshold
+        for w in range(m.n):
+            in_bin = table.bins.get(w, {}).get(q, [])
+            assert in_bin == [mask for mask in omap if mask >> w & 1]
+        assert state.norms[q - 1] == one_norm(table, q)
+        # the same order frozen without a threshold, from the same lower orders
+        if q == 1:
+            exact = solve(m, 1).table.orders[1]
+        else:
+            below = solve(m, q - 1, threshold)
+            below.threshold = 0.0
+            exact = advance_order(below).table.orders[q]
+        kept = {mask: value for mask, value in exact.items() if abs(value) >= threshold}
+        assert list(omap.items()) == list(kept.items())
+        gone = [mask for mask in exact if mask not in kept]
+        per_vertex = {}
+        for mask in gone:
+            for w in members_of(mask):
+                per_vertex[w] = per_vertex.get(w, 0.0) + abs(exact[mask])
+        assert state.dropped[q - 1] == (len(gone), max(per_vertex.values(), default=0.0))
+        if q >= 2:
+            assert 0 < len(gone) and 0 < len(omap)
+
+
+def test_pools_never_hold_the_two_newest_orders(rng):
+    # the newest order is read from the bins and joins the pools one
+    # advance later, so a solve to order p builds no record above p - 2
+    m = random_model(rng, topology_pairs("ring", 6), 6)
+    for p in (3, 4, 5):
+        state = solve(m, p)
+        orders = {rec[0] for pool in state._pools for rec in pool}
+        assert orders == set(range(1, p - 1))
+
+
+def test_energy_cache_holds_prefixes_only(rng):
+    # order-p sets reach p + 1 vertices, and only their prefixes are cached
+    m = random_model(rng, topology_pairs("ring", 7), 7)
+    p = 4
+    state = solve(m, p)
+    assert max(mask.bit_count() for mask in state.table.orders[p]) == p + 1
+    assert state._e0
+    assert max(mask.bit_count() for mask in state._e0) <= p
+
+
+def test_excitation_energy_is_the_left_to_right_sum(rng):
+    m = random_model(rng, topology_pairs("ring", 12), 12)
+    masks = [int(x) for x in rng.integers(1, 1 << 12, size=300)]
+
+    def plain(mask):
+        total = 0.0
+        for w in members_of(mask):
+            total = total + m.deltas[w]
+        return total
+
+    cold = SolverState(m, 0.0)
+    warm = solve(m, 3)
+    for state in (cold, warm):
+        for mask in masks:
+            assert state.excitation_energy(mask) == plain(mask)
+    # once more, now that every prefix of the masks is cached
+    for mask in masks:
+        assert cold.excitation_energy(mask) == plain(mask)
 
 
 def test_norms_track_one_norm(rng):
