@@ -16,9 +16,14 @@ multisets of size three or four, each target entry receives a single
 operator entry with signs that sum to zero.  ``solver.LIVE`` records this
 rule and the solver enumerates only those tuples.
 
-``target_matrix_elements`` is what the solver calls; ``matrix_element``
-answers one query ``(target, sets, edge)`` in the argument order of the
-independent dense check ``oracle.dense_matrix_element``.
+``edge_kernel`` is what the solver calls: the nonzero results of one
+operator for one multiset, as (target edge-bit pattern, value) pairs.
+Patterns are relative to the edge's orientation and hold no vertex, so
+they are cached on the operator and shared by every model that holds
+it, a renumbered submodel included; the solver maps them onto each
+edge's own bitmasks.  ``matrix_element`` answers one query
+``(target, sets, edge)`` in the argument order of the independent dense
+check ``oracle.dense_matrix_element``.
 """
 
 from __future__ import annotations
@@ -69,6 +74,19 @@ def target_matrix_elements(sbits, entries):
                 else:
                     out[slot] = out[slot] + val
     return {s: out[s] for s in range(4) if out[s] != 0}
+
+
+def edge_kernel(op, sbits):
+    """((target edge-bit pattern, value), ...) of ``op`` for the sorted edge bits ``sbits``.
+
+    The nonzero ``target_matrix_elements`` in pattern order, computed on
+    first use and cached on the operator, whose entries are read-only.
+    """
+    kern = op._kernels.get(sbits)
+    if kern is None:
+        mes = target_matrix_elements(sbits, op.entries.tolist())
+        kern = op._kernels[sbits] = tuple(mes.items())
+    return kern
 
 
 def matrix_element(target, sets, edge):

@@ -88,12 +88,15 @@ def parse_pauli_expression(text):
 class TwoQubitOperator:
     """Immutable 4x4 complex operator on an ordered pair of vertices.
 
-    The entries are read-only, so the spectral norm and the deviation
-    from Hermitian are computed once, on first use, and then reused by
-    every model that shares the operator.
+    The entries are read-only, so the spectral norm, the deviation from
+    Hermitian and the commutator kernels (``_kernels``, owned by
+    ``kernel.edge_kernel``: one tuple of (edge-bit pattern, value) pairs
+    per multiset of edge bits) are computed once, on first use, and then
+    reused by every model that shares the operator.  Nothing cached here
+    names a vertex, so it cannot go stale.
     """
 
-    __slots__ = ("entries", "_norm", "_skew")
+    __slots__ = ("entries", "_norm", "_skew", "_kernels")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=complex)
@@ -105,6 +108,7 @@ class TwoQubitOperator:
         self.entries = arr
         self._norm = None
         self._skew = None
+        self._kernels = {}
 
     @classmethod
     def from_pauli(cls, text):
@@ -158,6 +162,10 @@ class SpinModel:
     - ``d``: the largest number of incident edges, counted with multiplicity;
     - ``hermitian``: whether every edge operator is Hermitian.
 
+    The model also holds ``response.correlator``'s last light-cone value
+    solve, one entry that the next query on the same sites and order
+    reuses; it is no part of the model's value.
+
     Raises NonPositiveGap, ParseError (non-finite field), DanglingVertexId
     or SelfLoop on bad input.
     """
@@ -169,6 +177,7 @@ class SpinModel:
     J: float = field(init=False, repr=False)
     d: int = field(init=False, repr=False)
     hermitian: bool = field(init=False, repr=False)
+    _light_cone: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = tuple(self.vertices)

@@ -36,6 +36,22 @@ kept reads the same stored values, and the surviving tuples are
 enumerated in the same relative order, since the renumbering keeps
 vertex and edge order.  One hop less drops an edge of some order-p
 cluster and changes the answer.
+
+Only the tangent pass sees the observable, so a run of queries on one
+model reuses the rest:
+
+- each edge operator caches its commutator kernels as edge-bit
+  patterns (``kernel.edge_kernel``), which every solve and every
+  renumbered submodel sharing the operator maps onto its own edges;
+- the model holds its last light-cone value solve, keyed by (s, t, p,
+  restrict), and the next query with the same key reuses it.  It is
+  one entry, dropped before another solve starts.
+
+Neither moves a bit.  A cached pattern's value is the float the kernel
+would compute again, from the same read-only entries in the same
+order, and patterns name no vertex.  ``tangent_pass`` only reads the
+state's tables and pools; the caches it fills are pure functions of
+the model, so a reused state is the state a new solve would build.
 """
 
 from __future__ import annotations
@@ -137,9 +153,33 @@ def restrict_neighborhood(model, s, t, order):
     return sub, mapping
 
 
-def _response_coefficients(sub, s, t, matrix, p):
-    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable."""
+def _light_cone_solve(model, s, t, p, restrict):
+    """(s, t renumbered, order-(p-1) value solve) of the light cone of a query.
+
+    The model holds the last one, and a query with the same sites, order
+    and ``restrict`` reuses it.  Any other query drops it before it
+    restricts and solves, so at most one such state is alive, and then
+    holds its own.
+    """
+    key = (s, t, p, restrict)
+    held = model._light_cone
+    if held is not None and held[0] == key:
+        return held[1:]
+    # free the old state before the new solve, not after it
+    held = None
+    object.__setattr__(model, "_light_cone", None)
+    if restrict:
+        sub, mapping = restrict_neighborhood(model, s, t, p - 1)
+        s, t = mapping[s], mapping[t]
+    else:
+        sub = model
     state = solve(sub, max(p - 1, 1))
+    object.__setattr__(model, "_light_cone", (key, s, t, state))
+    return s, t, state
+
+
+def _response_coefficients(state, s, t, matrix, p):
+    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable."""
     entries = tuple(tuple(row) for row in matrix.tolist())
     tangents, last_values = tangent_pass(state, (s, t, entries), p)
     values = [state.table.orders.get(q, {}) for q in range(p)] + [last_values]
@@ -166,7 +206,9 @@ def correlator(model, query, restrict=True):
     model's edge-strength scale, and the result and bound are scaled
     back, so callers never see the rescaling.  A NaN or infinite
     strength raises NonFiniteStrength, and a value that comes out
-    non-finite is never certified.
+    non-finite is never certified.  The value solve of the query's
+    light cone stays on the model for the next query (see the module
+    docstring).
     """
     n = model.n
     s, t = query.s, query.t
@@ -192,12 +234,8 @@ def correlator(model, query, restrict=True):
     if p == 0:
         ders = [complex(run_matrix[0][0])]
     else:
-        if restrict:
-            sub, mapping = restrict_neighborhood(model, s, t, p - 1)
-            rs, rt = mapping[s], mapping[t]
-        else:
-            sub, rs, rt = model, s, t
-        ders = _response_coefficients(sub, rs, rt, run_matrix, p)
+        rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
+        ders = _response_coefficients(state, rs, rt, run_matrix, p)
 
     value = 0j
     power = 1.0

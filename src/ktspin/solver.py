@@ -4,9 +4,10 @@ The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
-point: order 1 reads matrix elements of the edge terms directly, and
-each later order (``advance_order``) combines up to four lower-order
-sets against every edge through the commutator kernel.
+point, a ``SolverState`` advanced order by order: order 1 reads matrix
+elements of the edge terms directly, and each later order
+(``advance_order``) combines up to four lower-order sets against every
+edge through the commutator kernel.
 
 Tuples of lower-order sets are enumerated as multisets in a fixed pool
 order with a 1/(multiplicity factorial) weight per repeated item, which
@@ -49,7 +50,8 @@ from itertools import combinations
 from math import isfinite
 
 from .errors import InvalidThreshold
-from .kernel import target_matrix_elements
+from .kernel import edge_kernel
+from .model import TwoQubitOperator
 from .setalg import CoefficientTable, bin_candidates, install_order, members_of
 
 # multiset code of edge-bit patterns: base-5 counts of patterns 1, 2 and 3
@@ -85,7 +87,17 @@ for _ms in _LIVE_MULTISETS:
 
 
 class SolverState:
-    """Coefficient table plus bookkeeping for resuming at the next order."""
+    """Coefficient table plus bookkeeping for resuming at the next order.
+
+    A new state holds no order; each ``advance_order`` adds the next,
+    starting at order 1.  A threshold that is not a finite number >= 0
+    raises InvalidThreshold (see ``_freeze_order``).  ``_mecaches`` holds
+    one slot per edge and multiset code: the operator's kernel patterns
+    (``kernel.edge_kernel``) mapped onto that edge's bitmasks, filled on
+    first use.  ``_e0`` caches excitation energies of set prefixes.
+    Both are pure functions of the model, so ``tangent_pass`` may fill
+    them without changing what a later pass or advance computes.
+    """
 
     __slots__ = (
         "model",
@@ -102,6 +114,8 @@ class SolverState:
     )
 
     def __init__(self, model, threshold):
+        if not (isfinite(threshold) and threshold >= 0):
+            raise InvalidThreshold(f"threshold must be a finite number >= 0, got {threshold}")
         terms = _prepare_terms(model)
         self.model = model
         self.table = CoefficientTable()
@@ -200,25 +214,43 @@ def _edge_records(candidates, u, v, order):
     ]
 
 
-def _kernel_results(code, entries, bit_masks):
-    """((target bit mask, matrix element), ...) for a multiset code, zeros omitted."""
-    mes = target_matrix_elements(_code_bits(code), entries)
-    return tuple((bit_masks[s], me) for s, me in mes.items())
+def _kernel_results(code, op, bit_masks):
+    """((target bit mask, matrix element), ...) for a multiset code, zeros omitted.
+
+    Maps the operator's cached edge-bit patterns onto one edge's bitmasks.
+    """
+    return tuple((bit_masks[s], me) for s, me in edge_kernel(op, _code_bits(code)))
 
 
 def advance_order(state):
     """Extend the table by one order from the already stored ones.
 
-    With budget b (the newest stored order), a record of order b only
-    ever forms a one-item tuple, and it comes last in the top-level walk
-    of its edge's pool.  So the pools receive order b - 1 here, and each
-    edge's walk appends its order-b records, read from the bins, to a
-    copy of its pool, which is freed with the edge.  After a solve to
-    order p the pools hold orders up to p - 2.  Kernel results live on
-    the state, one slot per multiset code and edge, and are computed on
-    first use.
+    A state with no order gets order 1, read from the vacuum column of
+    each edge term.  Otherwise, with budget b (the newest stored order),
+    a record of order b only ever forms a one-item tuple, and it comes
+    last in the top-level walk of its edge's pool.  So the pools
+    receive order b - 1 here, and each edge's walk appends its order-b
+    records, read from the bins, to a copy of its pool, which is freed
+    with the edge.  After a solve to order p the pools hold orders up to
+    p - 2.  Kernel results live on the state, one slot per multiset code
+    and edge, mapped on first use from the patterns cached on the
+    edge's operator.
     """
     budget = state.current_order
+    if budget == 0:
+        acc = {}
+        for u, v, entries in state.terms:
+            pair_sets = (
+                (1 << v, entries[1][0]),
+                (1 << u, entries[2][0]),
+                ((1 << u) | (1 << v), entries[3][0]),
+            )
+            for mask, value in pair_sets:
+                if value != 0:
+                    prev = acc.get(mask)
+                    acc[mask] = value if prev is None else prev + value
+        _freeze_order(state, acc, 1)
+        return state
     table = state.table
     if budget > 1:
         _extend_pools(state, budget - 1)
@@ -253,7 +285,7 @@ def advance_order(state):
                 continue
             mes = mecache[code2]
             if mes is None:
-                mes = mecache[code2] = _kernel_results(code2, entries, bit_masks)
+                mes = mecache[code2] = _kernel_results(code2, op, bit_masks)
             weight = coeff2 / denom2 if denom2 > 1 else coeff2
             for bits, me in mes:
                 target = outside2 | bits
@@ -264,11 +296,13 @@ def advance_order(state):
                     prev = acc.get(target)
                     acc[target] = contrib if prev is None else prev + contrib
 
-    for idx, (u, v, entries) in enumerate(state.terms):
+    edges = state.model.edges
+    for idx, (u, v, _entries) in enumerate(state.terms):
         pool = state._pools[idx] + _edge_records(bin_candidates(table, u, v, budget), u, v, budget)
         if not pool:
             continue
         mecache = state._mecaches[idx]
+        op = edges[idx].op
         npool = len(pool)
         bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
         grow(0, budget, 0, 0, 1.0, 1, -1, 0)
@@ -358,8 +392,14 @@ def tangent_pass(state, edge, order):
     a formal strength: the returned ``tangents[q]`` maps vertex bitmasks
     to the derivative, at zero strength, of the order-q coefficient, for
     q = 1..order, nonzero entries only.  ``state`` must hold the plain
-    tables up to order - 1 (order 1 when order is 1); its tables and
-    pools are read, never changed, and its kernel caches are shared.
+    tables up to order - 1 (order 1 when order is 1).  The pass only
+    reads its tables, bins and pools.  It fills two of its caches, both
+    pure functions of the model: the kernel slots (``_mecaches``) of the
+    model edges it touches and the prefix energies (``_e0``).  So one
+    state serves any number of passes with the same results, and
+    ``response.correlator`` reuses it across queries on the same sites
+    and order.  The observable edge gets a new operator, and so its own
+    kernels, on every pass, since its entries change from query to query.
 
     Only tuples that hold a derivative-carrying item, or that act through
     the observable edge, are enumerated, in the pool and visit order of
@@ -400,6 +440,8 @@ def tangent_pass(state, edge, order):
     terms = list(state.terms)
     terms.append(edge)
     obs_idx = len(terms) - 1
+    ops = [e.op for e in state.model.edges]
+    ops.append(TwoQubitOperator(obs_entries))
     mecaches = list(state._mecaches)
     mecaches.append([None] * _NCODES)
     tpools = {}
@@ -448,7 +490,7 @@ def tangent_pass(state, edge, order):
                     base = _edge_records(_leaf_candidates(table, u, v, q, tan, st), u, v, q)
                 tp.add_section(base, u, v, q, tangents[q] if ends & touched[q] else None,
                                extras[q])
-            _tangent_edge(terms[idx], tp, mecaches[idx], budget,
+            _tangent_edge(u, v, ops[idx], tp, mecaches[idx], budget,
                           idx == obs_idx, last, st, acc, vacc)
         tangents[k] = _divide(state, acc)
     return tangents, _divide(state, vacc)
@@ -504,7 +546,7 @@ def _divide(state, acc):
     return out
 
 
-def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
+def _tangent_edge(u, v, op, tp, mecache, budget, obs, last, st, acc, vacc):
     """Add one edge's tangent tuples of total order ``budget`` to ``acc``.
 
     ``seek`` walks prefixes that hold no derivative yet: it descends only
@@ -514,7 +556,6 @@ def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
     the observable edge every tuple carries a derivative, through the
     kernel, so ``grow`` starts there.
     """
-    u, v, entries = term
     pool = tp.records
     ders = tp.ders
     starts = tp.starts
@@ -534,7 +575,7 @@ def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
     def emit(outside2, code2, cv2, cd2, denom2):
         mes = mecache[code2]
         if mes is None:
-            mes = mecache[code2] = _kernel_results(code2, entries, bit_masks)
+            mes = mecache[code2] = _kernel_results(code2, op, bit_masks)
         if denom2 > 1:
             wv = cv2 / denom2
             wd = None if cd2 is None else cd2 / denom2
@@ -649,28 +690,14 @@ def _tangent_edge(term, tp, mecache, budget, obs, last, st, acc, vacc):
 def solve(model, order, threshold=0.0):
     """Coefficient tables for all orders 1..order.
 
-    Order 1 reads the vacuum column of each edge term directly.  Entries
-    whose magnitude falls below ``threshold`` are dropped (see
+    A new ``SolverState`` advanced ``order`` times.  Entries whose
+    magnitude falls below ``threshold`` are dropped (see
     ``_freeze_order``); a threshold that is not a finite number >= 0
     raises InvalidThreshold.
     """
     if order < 1:
         raise ValueError("solve needs order >= 1")
-    if not (isfinite(threshold) and threshold >= 0):
-        raise InvalidThreshold(f"threshold must be a finite number >= 0, got {threshold}")
     state = SolverState(model, threshold)
-    acc = {}
-    for u, v, entries in state.terms:
-        pair_sets = (
-            (1 << v, entries[1][0]),
-            (1 << u, entries[2][0]),
-            ((1 << u) | (1 << v), entries[3][0]),
-        )
-        for mask, value in pair_sets:
-            if value != 0:
-                prev = acc.get(mask)
-                acc[mask] = value if prev is None else prev + value
-    _freeze_order(state, acc, 1)
     while state.current_order < order:
         advance_order(state)
     return state

@@ -159,6 +159,77 @@ def test_restriction_is_bit_identical(rng):
                 assert cut.coefficients == full.coefficients, (s, t, order)
 
 
+def _cold_copy(m):
+    """The same model built anew, with new operators and so no cached kernels."""
+    return make_model(m.deltas, [(e.u, e.v, e.op.entries) for e in m.edges])
+
+
+def test_warm_operators_give_the_cold_answers(rng):
+    # kernels cached on an operator by one light cone must serve any other:
+    # each answer on operators warmed by queries on other pairs, whose
+    # submodels number the sites differently, equals a model built anew
+    for m in (random_model(rng, topology_pairs("ring", 14), 14),
+              random_model(rng, grid_pairs(3, 3), 9)):
+        obs = random_hermitian_op(rng)
+        eps = m.eps0_star / (2 * m.d)
+        for s, t in ((0, 1), (3, 5), (2, 6)):
+            for ws, wt in ((0, 1), (3, 5), (2, 6)):
+                if (ws, wt) != (s, t):
+                    correlator(m, query(ws, wt, obs, eps, 5))
+            for order in range(1, 6):
+                q = query(s, t, obs, eps, order)
+                warm = correlator(m, q)
+                cold = correlator(_cold_copy(m), q)
+                assert warm.value == cold.value, (s, t, order)
+                assert warm.coefficients == cold.coefficients, (s, t, order)
+            # a submodel shares its parent's warm operators
+            sub, _mapping = restrict_neighborhood(m, s, t, 3)
+            cold_sub, _mapping = restrict_neighborhood(_cold_copy(m), s, t, 3)
+            warm_state, cold_state = solve(sub, 4), solve(cold_sub, 4)
+            assert warm_state.norms == cold_state.norms
+            for q in range(1, 5):
+                assert (list(warm_state.table.orders.get(q, {}).items())
+                        == list(cold_state.table.orders.get(q, {}).items()))
+
+
+def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
+    rng = np.random.default_rng(11)
+    m = random_model(rng, topology_pairs("ring", 12), 12)
+    zz = parse_pauli_expression("ZZ")
+    other = random_hermitian_op(rng)
+    eps = m.eps0_star / (2 * m.d)
+    a, b = (2, 3), (7, 9)
+    # (sites, observable, order, restrict): only the second can reuse a solve
+    sequence = [(a, zz, 4, True), (a, other, 4, True), (b, zz, 4, True),
+                (a, zz, 4, True), (a, zz, 3, True), (a, zz, 4, False)]
+    solves = []
+
+    def spy(model, order, threshold=0.0):
+        # the held state is dropped first, so two are never alive at once
+        assert m._light_cone is None
+        solves.append(order)
+        return solve(model, order, threshold)
+
+    monkeypatch.setattr(response, "solve", spy)
+    calls, answers = [], []
+    for (s, t), obs, p, restrict in sequence:
+        before = len(solves)
+        answers.append(correlator(m, query(s, t, obs, eps, p), restrict=restrict))
+        calls.append(len(solves) - before)
+    assert calls == [1, 0, 1, 1, 1, 1]
+    monkeypatch.undo()
+    for ((s, t), obs, p, restrict), warm in zip(sequence, answers):
+        cold = correlator(_cold_copy(m), query(s, t, obs, eps, p), restrict=restrict)
+        assert warm.value == cold.value
+        assert warm.coefficients == cold.coefficients
+        assert (warm.bound, warm.regime) == (cold.bound, cold.regime)
+    # one entry, for the last query
+    key, rs, rt, state = m._light_cone
+    assert key == (a[0], a[1], 4, False)
+    assert (rs, rt) == a
+    assert state.model is m and state.current_order == 3
+
+
 def test_correlator_restricts_to_its_light_cone(monkeypatch):
     m = random_model(np.random.default_rng(7), topology_pairs("ring", 10), 10)
     asked = []

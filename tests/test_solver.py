@@ -84,6 +84,32 @@ def test_solve_rejects_a_bad_threshold(threshold):
     assert isinstance(err.value, KtspinError)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
+def test_state_rejects_a_bad_threshold(threshold):
+    # a state built directly must check its threshold as solve does
+    with pytest.raises(InvalidThreshold):
+        SolverState(tf_edge_model(), threshold)
+
+
+def test_a_fresh_state_advances_from_order_one(rng):
+    # advance_order on a new state builds order 1 from the edge columns,
+    # so a hand-driven state equals solve in tables, key order and norms
+    for m, order in ((tf_edge_model(), 3), (random_model(rng, topology_pairs("ring", 6), 6), 4)):
+        state = SolverState(m, 0.0)
+        for _ in range(order):
+            advance_order(state)
+        want = solve(m, order)
+        assert state.current_order == order
+        assert state.norms == want.norms
+        assert state.dropped == want.dropped
+        for q in range(1, order + 1):
+            got = state.table.orders.get(q, {})
+            assert list(got.items()) == list(want.table.orders.get(q, {}).items())
+        assert state.table.bins == want.table.bins
+    assert state.norms[0] > 0
+    assert solve(tf_edge_model(), 3).norms == [1.0, 0.0, 1.0]
+
+
 def test_threshold_drops_some_entries(rng):
     m = random_model(rng, topology_pairs("ring", 6), 6)
     order = 5
