@@ -28,7 +28,7 @@ from .energy import (
     radius_estimate,
     series_from_state,
 )
-from .errors import KtspinError, NonFiniteStrength
+from .errors import KtspinError, NonFiniteStrength, ParseError
 from .kernel import matrix_element
 from .model import (
     EdgeTerm,
@@ -79,16 +79,27 @@ def _pick_order(args, model):
 
 
 def _load_observable(text):
-    """Observable from a Pauli expression or a JSON file path."""
-    if os.path.isfile(text):
-        with open(text) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "pauli" in doc:
+    """Observable from a Pauli expression or a JSON file path.
+
+    A file holds ``{"pauli": expression}``, ``{"matrix": rows}`` or the
+    rows alone, four rows of four [re, im] pairs; anything else raises
+    ParseError.
+    """
+    if not os.path.isfile(text):
+        return TwoQubitOperator.from_pauli(text)
+    with open(text) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):
+        if "pauli" in doc:
             return TwoQubitOperator.from_pauli(doc["pauli"])
-        if isinstance(doc, dict) and "matrix" in doc:
-            doc = doc["matrix"]
-        return TwoQubitOperator([[complex(c[0], c[1]) for c in row] for row in doc])
-    return TwoQubitOperator.from_pauli(text)
+        doc = doc.get("matrix")
+    try:
+        rows = [[complex(c[0], c[1]) for c in row] for row in doc]
+    except (KeyError, TypeError, IndexError, ValueError):
+        raise ParseError(
+            f"observable file {text} needs 'pauli' or a 4x4 'matrix' of [re, im] pairs"
+        ) from None
+    return TwoQubitOperator(rows)
 
 
 def _coeff_pairs(coefficients):
@@ -291,6 +302,12 @@ def _verify_checks(max_qubits, seeds):
 
 
 def _cmd_verify(args):
+    # a model needs three qubits for the two-hop correlator, and a
+    # battery that runs no check must not report a pass
+    if args.max_qubits < 3:
+        raise KtspinError(f"--max-qubits must be >= 3, got {args.max_qubits}")
+    if args.seeds < 1:
+        raise KtspinError(f"--seeds must be >= 1, got {args.seeds}")
     results = []
     for name, passed, detail in _verify_checks(args.max_qubits, args.seeds):
         results.append({"name": name, "passed": bool(passed), "detail": detail})

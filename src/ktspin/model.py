@@ -43,8 +43,11 @@ def parse_pauli_expression(text):
     Accepts forms like ``"XX"``, ``"-0.5 ZI + 0.25 XY"``, ``"1j*YZ"`` and
     parenthesized complex coefficients like ``"(1+2j) XZ"``.  The first
     letter acts on the edge's first endpoint, the second on the other.
-    Raises ParseError with the offending position on malformed input.
+    Raises ParseError with the offending position on malformed input,
+    and without one when ``text`` is not a string.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"operator expression must be a string, got {text!r}")
     out = np.zeros((4, 4), dtype=complex)
     pos = _WS.match(text, 0).end()
     if pos == len(text):
@@ -99,7 +102,10 @@ class TwoQubitOperator:
     __slots__ = ("entries", "_norm", "_skew", "_kernels")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)
+        try:
+            arr = np.array(entries, dtype=complex)
+        except (TypeError, ValueError):
+            raise ParseError("edge operator must be a 4x4 array of numbers") from None
         if arr.shape != (4, 4):
             raise ParseError(f"edge operator must be 4x4, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
@@ -242,6 +248,8 @@ def model_from_dict(data):
         raw_edges = data["edges"]
     except (KeyError, TypeError):
         raise ParseError("model document needs 'vertices' and 'edges' lists") from None
+    if not (isinstance(raw_vertices, list) and isinstance(raw_edges, list)):
+        raise ParseError("model document needs 'vertices' and 'edges' lists")
     vertices = []
     for rv in raw_vertices:
         try:

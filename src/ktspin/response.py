@@ -50,7 +50,7 @@ model reuses the rest:
 Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
 order, and patterns name no vertex.  ``tangent_pass`` only reads the
-state's tables and pools; the caches it fills are pure functions of
+state's tables and bins; the caches it fills are pure functions of
 the model, so a reused state is the state a new solve would build.
 """
 

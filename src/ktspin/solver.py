@@ -31,11 +31,10 @@ their one-norm, so a caller can tell that the table is no longer the
 exact series.
 
 Each edge walks a pool of candidate records: the stored sets that meet
-the edge, order by order, each order in bin order.  A solve
-holds only what a later step reads.  The newest order is read straight
-from the bins, since its records only ever form one-item tuples at the
-end of the walk; a pool takes an order in one advance later, when
-longer tuples start to use it.  The excitation-energy cache keeps set
+the edge, order by order, each order in bin order.  The pool is read
+from the table's bins (``setalg.bin_candidates``) when the edge's walk
+starts and freed when it ends, so between advances a solve holds only
+its table and two caches.  The excitation-energy cache keeps set
 prefixes, not the sets themselves.
 
 ``tangent_pass`` differentiates a solved table along one extra edge
@@ -91,10 +90,11 @@ class SolverState:
 
     A new state holds no order; each ``advance_order`` adds the next,
     starting at order 1.  A threshold that is not a finite number >= 0
-    raises InvalidThreshold (see ``_freeze_order``).  ``_mecaches`` holds
-    one slot per edge and multiset code: the operator's kernel patterns
-    (``kernel.edge_kernel``) mapped onto that edge's bitmasks, filled on
-    first use.  ``_e0`` caches excitation energies of set prefixes.
+    raises InvalidThreshold (see ``_freeze_order``).  Besides the table
+    it keeps two caches.  ``_mecaches`` holds one slot per edge and
+    multiset code: the operator's kernel patterns (``kernel.edge_kernel``)
+    mapped onto that edge's bitmasks, filled on first use.  ``_e0``
+    caches excitation energies of set prefixes.
     Both are pure functions of the model, so ``tangent_pass`` may fill
     them without changing what a later pass or advance computes.
     """
@@ -108,7 +108,6 @@ class SolverState:
         "threshold",
         "deltas",
         "terms",
-        "_pools",
         "_mecaches",
         "_e0",
     )
@@ -125,7 +124,6 @@ class SolverState:
         self.threshold = threshold
         self.deltas = model.deltas
         self.terms = terms
-        self._pools = [[] for _ in terms]
         self._mecaches = [[None] * _NCODES for _ in terms]
         self._e0 = {}
 
@@ -191,21 +189,12 @@ def _freeze_order(state, acc, order):
     state.dropped.append((count, max(dropped.values(), default=0.0)))
 
 
-def _extend_pools(state, order):
-    """Append the given order's candidate records to every edge pool.
+def _edge_records(candidates, u, v, order):
+    """Pool records of one order for the edge (u, v) from its (mask, value) candidates.
 
     A record is (order, outside bitmask, multiset code of its edge bits,
-    value); pools stay sorted by order because orders are appended in
-    sequence.
+    value).
     """
-    table = state.table
-    for idx, (u, v, _entries) in enumerate(state.terms):
-        candidates = bin_candidates(table, u, v, order)
-        state._pools[idx].extend(_edge_records(candidates, u, v, order))
-
-
-def _edge_records(candidates, u, v, order):
-    """Pool records of one order for the edge (u, v) from its (mask, value) candidates."""
     bu, bv = 1 << u, 1 << v
     off = ~(bu | bv)
     return [
@@ -227,14 +216,11 @@ def advance_order(state):
 
     A state with no order gets order 1, read from the vacuum column of
     each edge term.  Otherwise, with budget b (the newest stored order),
-    a record of order b only ever forms a one-item tuple, and it comes
-    last in the top-level walk of its edge's pool.  So the pools
-    receive order b - 1 here, and each edge's walk appends its order-b
-    records, read from the bins, to a copy of its pool, which is freed
-    with the edge.  After a solve to order p the pools hold orders up to
-    p - 2.  Kernel results live on the state, one slot per multiset code
-    and edge, mapped on first use from the patterns cached on the
-    edge's operator.
+    each edge builds its pool of orders 1..b from the bins, walks it and
+    frees it.  Bins only grow once an order is installed, so the pool
+    is the same whichever advance builds it.  Kernel results live on
+    the state, one slot per multiset code and edge, mapped on first use
+    from the patterns cached on the edge's operator.
     """
     budget = state.current_order
     if budget == 0:
@@ -252,8 +238,6 @@ def advance_order(state):
         _freeze_order(state, acc, 1)
         return state
     table = state.table
-    if budget > 1:
-        _extend_pools(state, budget - 1)
     acc = {}
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
@@ -298,7 +282,9 @@ def advance_order(state):
 
     edges = state.model.edges
     for idx, (u, v, _entries) in enumerate(state.terms):
-        pool = state._pools[idx] + _edge_records(bin_candidates(table, u, v, budget), u, v, budget)
+        pool = []
+        for q in range(1, budget + 1):
+            pool += _edge_records(bin_candidates(table, u, v, q), u, v, q)
         if not pool:
             continue
         mecache = state._mecaches[idx]
@@ -306,7 +292,7 @@ def advance_order(state):
         npool = len(pool)
         bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
         grow(0, budget, 0, 0, 1.0, 1, -1, 0)
-    # grow refers to itself; dropping it frees acc and the pools on return
+    # grow refers to itself; dropping it frees acc and the last pool on return
     grow = None
     _freeze_order(state, acc, budget + 1)
     return state
@@ -331,9 +317,8 @@ class _TangentPool:
     """One edge's pool for the tangent pass, built section by section.
 
     ``records`` holds pool records as ``advance_order`` builds them: a
-    model edge's sections come from its solver pool, then from the bins
-    for the order the solver's pools never took in, and, in the last
-    section, only those ``_leaf_candidates`` keeps.  It also holds the
+    model edge's sections come from the bins, and, for the order the
+    state stops at, only those ``_leaf_candidates`` keeps.  It also holds the
     records of sets that only the tangent table holds (value 0j), each
     after the value records of its bin; ``ders`` is aligned with it
     (None where the set carries no derivative), ``starts[q]`` is the
@@ -393,7 +378,7 @@ def tangent_pass(state, edge, order):
     to the derivative, at zero strength, of the order-q coefficient, for
     q = 1..order, nonzero entries only.  ``state`` must hold the plain
     tables up to order - 1 (order 1 when order is 1).  The pass only
-    reads its tables, bins and pools.  It fills two of its caches, both
+    reads its tables and bins.  It fills the state's two caches, both
     pure functions of the model: the kernel slots (``_mecaches``) of the
     model edges it touches and the prefix energies (``_e0``).  So one
     state serves any number of passes with the same results, and
@@ -410,10 +395,9 @@ def tangent_pass(state, edge, order):
     lower tables, that is all the next energy coefficient reads.  So
     when the state stops at order ``order - 1``, as the correlator's
     does, a model edge builds its records of that order, which only the
-    last step reads, for just the sets that step can use.  It reads the
-    order below from the bins too, since the state's pools never took
-    it in (see ``advance_order``), and lower orders from its solver
-    pool.  Only the edges the pass touches build any of these.
+    last step reads, for just the sets that step can use.  Lower orders
+    come whole from the bins.  Only the edges the pass touches build
+    any records.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
@@ -473,23 +457,16 @@ def tangent_pass(state, edge, order):
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
             for q in range(len(tp.starts) - 1, k):
-                if idx == obs_idx:
+                if idx != obs_idx and q == top:
+                    # the order the state stops at: only the last step reads it
+                    cands = _leaf_candidates(table, u, v, q, tan, st)
+                else:
                     cands = bin_candidates(table, u, v, q)
-                    if last:
+                    if idx == obs_idx and last:
                         # later sets never reach a target of at most two vertices
                         cands = [c for c in cands if (c[0] & ~ends).bit_count() <= 2]
-                    base = _edge_records(cands, u, v, q)
-                elif q < top - 1:
-                    pool = state._pools[idx]
-                    base = pool[bisect_left(pool, (q,)):bisect_left(pool, (q + 1,))]
-                elif q < top:
-                    # the newest order of the last advance never entered the pools
-                    base = _edge_records(bin_candidates(table, u, v, q), u, v, q)
-                else:
-                    # the order the state stops at: only the last step reads it
-                    base = _edge_records(_leaf_candidates(table, u, v, q, tan, st), u, v, q)
-                tp.add_section(base, u, v, q, tangents[q] if ends & touched[q] else None,
-                               extras[q])
+                tp.add_section(_edge_records(cands, u, v, q), u, v, q,
+                               tangents[q] if ends & touched[q] else None, extras[q])
             _tangent_edge(u, v, ops[idx], tp, mecaches[idx], budget,
                           idx == obs_idx, last, st, acc, vacc)
         tangents[k] = _divide(state, acc)

@@ -263,6 +263,20 @@ def test_correlate_observable_from_file(capsys, tf_path, tmp_path):
     assert doc2["K"] == pytest.approx(doc["K"])
 
 
+@pytest.mark.parametrize(
+    "doc", [{"foo": 1}, {"pauli": 5}, {"matrix": [[1, 2], [3, 4]]}, [1, 2, 3]]
+)
+def test_bad_observable_file_exits_2(capsys, tf_path, tmp_path, doc):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(doc))
+    argv = [
+        "correlate", tf_path, "--s", "0", "--t", "1",
+        "--observable", str(obs), "--epsilon", "0", "--order", "1",
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_clusters_command(capsys, ring_path):
     code, doc, _ = run_json(
         capsys, ["clusters", ring_path, "--vertex", "0", "--size", "3", "--json"]
@@ -288,6 +302,13 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
     doc["vertices"][0]["delta"] = 0.0
     gapless.write_text(json.dumps(doc))
     assert main(["info", str(gapless), "--json"]) == 2
+    for key, value in (("edges", [{"u": 0, "v": 1, "pauli": 5}]), ("vertices", 5)):
+        broken = tmp_path / f"broken-{key}.json"
+        doc = model_to_dict(tf_edge_model())
+        doc[key] = value
+        broken.write_text(json.dumps(doc))
+        assert main(["info", str(broken), "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     assert (
         main(["energy", tf_path, "--order", "0", "--epsilon", "1e-9", "--json"]) == 2
     )
@@ -320,3 +341,19 @@ def test_verify_battery_passes(capsys):
     names = " ".join(c["name"] for c in doc["checks"])
     for token in ("kernel", "series", "gap", "correlator", "correlator-sites-0-2", "extract"):
         assert token in names
+
+
+@pytest.mark.parametrize("qubits", ["2", "1"])
+def test_verify_rejects_too_few_qubits(capsys, qubits):
+    assert main(["verify", "--max-qubits", qubits, "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_never_passes_without_a_check(capsys, seeds):
+    assert main(["verify", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "PASS" not in captured.out

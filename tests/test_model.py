@@ -68,6 +68,9 @@ def test_pauli_errors_carry_position():
         parse_pauli_expression("XX YY")
     with pytest.raises(ParseError):
         parse_pauli_expression("(1+*2j) XX")
+    for not_text in (5, None, ["XX"]):
+        with pytest.raises(ParseError):
+            parse_pauli_expression(not_text)
 
 
 def test_operator_requires_4x4():
@@ -209,6 +212,25 @@ def test_dict_requires_exactly_one_operator_form():
     both["edges"][0]["matrix"] = [[[0.0, 0.0]] * 4] * 4
     with pytest.raises(ParseError):
         model_from_dict(both)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("vertices", 5),
+        ("edges", 5),
+        ("edges", [{"u": 0, "v": 1, "pauli": 5}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[1, 0]] * 4, [[1, 0]]] * 2}]),
+    ],
+)
+def test_dict_rejects_malformed_documents(key, value):
+    doc = {
+        "vertices": [{"id": 0, "delta": 1.0}, {"id": 1, "delta": 1.0}],
+        "edges": [{"u": 0, "v": 1, "pauli": "XX"}],
+    }
+    doc[key] = value
+    with pytest.raises(ParseError):
+        model_from_dict(doc)
 
 
 def test_dict_accepts_pauli_edges():
