@@ -23,14 +23,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import NonFiniteStrength, NonPositiveGap, NonPositivePrecision
+from .errors import EmptySet, NonFiniteStrength, NonPositiveGap, NonPositivePrecision
 from .setalg import table_lookup
 from .solver import solve, times
 
 
-def vacuum_rows(terms):
-    """Solver edge terms as (u, v, vacuum row of (value, None) pairs)."""
-    return [(u, v, [(cell, None) for cell in entries[0]]) for u, v, entries in terms]
+def vacuum_rows(edges):
+    """Edge terms as (u, v, vacuum row of (value, None) pairs)."""
+    return [(e.u, e.v, [(cell, None) for cell in e.op.rows[0]]) for e in edges]
 
 
 def energy_terms(rows, lookup, order):
@@ -85,7 +85,7 @@ def energy_coefficient(state, order):
         return table_lookup(table, q, mask), None
 
     acc = 0j
-    for value, _der in energy_terms(vacuum_rows(state.terms), lookup, order):
+    for value, _der in energy_terms(vacuum_rows(state.model.edges), lookup, order):
         if value != 0:
             acc += value
     return acc
@@ -170,7 +170,7 @@ def energy_estimate(series, eps):
 def choose_order(n, delta_min, precision):
     """Smallest order whose truncation bound meets the requested precision."""
     if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
+        raise EmptySet(f"need at least one vertex, got n={n}")
     if not (delta_min > 0):
         raise NonPositiveGap(f"Delta must be positive, got {delta_min}")
     if not (precision > 0):

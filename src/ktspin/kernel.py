@@ -16,19 +16,25 @@ multisets of size three or four, each target entry receives a single
 operator entry with signs that sum to zero.  ``solver.LIVE`` records this
 rule and the solver enumerates only those tuples.
 
-``edge_kernel`` is what the solver calls: the nonzero results of one
-operator for one multiset, as (target edge-bit pattern, value) pairs.
-Patterns are relative to the edge's orientation and hold no vertex, so
-they are cached on the operator and shared by every model that holds
-it, a renumbered submodel included; the solver maps them onto each
-edge's own bitmasks.  ``matrix_element`` answers one query
-``(target, sets, edge)`` in the argument order of the independent dense
-check ``oracle.dense_matrix_element``.
+A multiset travels as its base-5 count code: ``CODE[pattern]`` summed
+over its items, below ``NCODES``.  ``edge_kernel`` is what the solver
+calls: the nonzero results of one operator for one code, as (target
+edge-bit pattern, value) pairs.  Patterns are relative to the edge's
+orientation and hold no vertex, so they are cached on the operator, one
+slot per code, and shared by every model and every solve that holds it,
+a renumbered submodel and a correlator's observable included; the
+solver maps them onto each edge's own bitmasks.  ``matrix_element``
+answers one query ``(target, sets, edge)`` in the argument order of the
+independent dense check ``oracle.dense_matrix_element``.
 """
 
 from __future__ import annotations
 
 from .errors import EmptySet
+
+# multiset code of edge-bit patterns: base-5 counts of patterns 1, 2 and 3
+CODE = (0, 1, 5, 25)
+NCODES = 125
 
 # subsets of each 2-bit mask, used to enumerate target bit patterns
 _SUBSETS_OF = ((0,), (0, 1), (0, 2), (0, 1, 2, 3))
@@ -76,16 +82,18 @@ def target_matrix_elements(sbits, entries):
     return {s: out[s] for s in range(4) if out[s] != 0}
 
 
-def edge_kernel(op, sbits):
-    """((target edge-bit pattern, value), ...) of ``op`` for the sorted edge bits ``sbits``.
+def edge_kernel(op, code):
+    """((target edge-bit pattern, value), ...) of ``op`` for the multiset ``code``.
 
     The nonzero ``target_matrix_elements`` in pattern order, computed on
-    first use and cached on the operator, whose entries are read-only.
+    first use and kept in the operator's slot ``op._kernels[code]``, which
+    a hot loop may read directly: its entries are read-only.
     """
-    kern = op._kernels.get(sbits)
+    kern = op._kernels[code]
     if kern is None:
-        mes = target_matrix_elements(sbits, op.entries.tolist())
-        kern = op._kernels[sbits] = tuple(mes.items())
+        sbits = (1,) * (code % 5) + (2,) * (code // 5 % 5) + (3,) * (code // 25)
+        mes = target_matrix_elements(sbits, op.rows)
+        kern = op._kernels[code] = tuple(mes.items())
     return kern
 
 

@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
+from .kernel import NCODES
 
 _PAULI_1Q = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -91,15 +92,18 @@ def parse_pauli_expression(text):
 class TwoQubitOperator:
     """Immutable 4x4 complex operator on an ordered pair of vertices.
 
-    The entries are read-only, so the spectral norm, the deviation from
-    Hermitian and the commutator kernels (``_kernels``, owned by
-    ``kernel.edge_kernel``: one tuple of (edge-bit pattern, value) pairs
-    per multiset of edge bits) are computed once, on first use, and then
-    reused by every model that shares the operator.  Nothing cached here
-    names a vertex, so it cannot go stale.
+    ``entries`` is a read-only array, and ``rows`` the same entries as
+    nested tuples of Python complex numbers, built once here for the
+    scalar loops of the solver, the energy and the kernels.  The spectral
+    norm, the deviation from Hermitian and the commutator kernels
+    (``_kernels``, owned by ``kernel.edge_kernel``: one slot per multiset
+    code of edge bits, each a tuple of (edge-bit pattern, value) pairs)
+    are computed once, on first use, and then reused by every model and
+    every solve that shares the operator.  Nothing cached here names a
+    vertex, so it cannot go stale.
     """
 
-    __slots__ = ("entries", "_norm", "_skew", "_kernels")
+    __slots__ = ("entries", "rows", "_norm", "_skew", "_kernels")
 
     def __init__(self, entries):
         try:
@@ -112,9 +116,10 @@ class TwoQubitOperator:
             raise ParseError("edge operator has non-finite entries")
         arr.setflags(write=False)
         self.entries = arr
+        self.rows = tuple(tuple(row) for row in arr.tolist())
         self._norm = None
         self._skew = None
-        self._kernels = {}
+        self._kernels = [None] * NCODES
 
     @classmethod
     def from_pauli(cls, text):

@@ -8,10 +8,10 @@ from two tables:
 - a plain value table, ``solve(model, max(p - 1, 1))``, with no
   observable edge;
 - a sparse tangent table from ``solver.tangent_pass``: the derivative
-  of every coefficient that depends on the observable edge, for orders
-  1..p.  It enumerates only tuples that hold a derivative-carrying item
-  or act through the observable edge, in the solver's pool and visit
-  order.
+  of every coefficient that depends on the observable edge, an
+  ``EdgeTerm`` walked after the model's edges, for orders 1..p.  It
+  enumerates only tuples that hold a derivative-carrying item or act
+  through the observable edge, in the solver's pool and visit order.
 
 E_{q+1} reads order q only on sets of at most two vertices, so the
 last order p keeps only those, and its only values that are read (the
@@ -42,7 +42,10 @@ model reuses the rest:
 
 - each edge operator caches its commutator kernels as edge-bit
   patterns (``kernel.edge_kernel``), which every solve and every
-  renumbered submodel sharing the operator maps onto its own edges;
+  renumbered submodel sharing the operator maps onto its own edges.
+  So does the observable: a query whose observable needs no rescaling
+  walks the query's own operator, and its kernels serve the next query
+  that holds it;
 - the model holds its last light-cone value solve, keyed by (s, t, p,
   restrict), and the next query with the same key reuses it.  It is
   one entry, dropped before another solve starts.
@@ -51,7 +54,8 @@ Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
 order, and patterns name no vertex.  ``tangent_pass`` only reads the
 state's tables and bins; the caches it fills are pure functions of
-the model, so a reused state is the state a new solve would build.
+the model and the operators, so a reused state is the state a new
+solve would build.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .errors import (
     SelfLoop,
 )
 from .energy import energy_terms, vacuum_rows
-from .model import SpinModel, TwoQubitOperator, Vertex
+from .model import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
 from .solver import solve, tangent_pass
 
 REGIME_CERTIFIED = "lemma9"
@@ -178,17 +182,17 @@ def _light_cone_solve(model, s, t, p, restrict):
     return s, t, state
 
 
-def _response_coefficients(state, s, t, matrix, p):
-    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable."""
-    entries = tuple(tuple(row) for row in matrix.tolist())
-    tangents, last_values = tangent_pass(state, (s, t, entries), p)
+def _response_coefficients(state, edge, p):
+    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable ``edge``."""
+    tangents, last_values = tangent_pass(state, edge, p)
     values = [state.table.orders.get(q, {}) for q in range(p)] + [last_values]
 
     def lookup(q, mask):
         return values[q].get(mask, 0), tangents[q].get(mask)
 
-    rows = vacuum_rows(state.terms)
-    rows.append((s, t, [(0j, cell if cell != 0 else None) for cell in entries[0]]))
+    rows = vacuum_rows(state.model.edges)
+    rows.append((edge.u, edge.v,
+                 [(0j, cell if cell != 0 else None) for cell in edge.op.rows[0]]))
     out = []
     for order in range(1, p + 2):
         acc = 0j
@@ -229,13 +233,13 @@ def correlator(model, query, restrict=True):
     onorm = obs.norm()
     if j_max > 0.0 and onorm > j_max:
         scale = onorm / j_max
-    run_matrix = obs.entries / scale if scale != 1.0 else obs.entries
+    run_op = TwoQubitOperator(obs.entries / scale) if scale != 1.0 else obs
 
     if p == 0:
-        ders = [complex(run_matrix[0][0])]
+        ders = [run_op.rows[0][0]]
     else:
         rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
-        ders = _response_coefficients(state, rs, rt, run_matrix, p)
+        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p)
 
     value = 0j
     power = 1.0

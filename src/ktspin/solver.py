@@ -4,10 +4,12 @@ The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
-point, a ``SolverState`` advanced order by order: order 1 reads matrix
-elements of the edge terms directly, and each later order
+point, a ``SolverState`` advanced order by order: order 1 reads the
+vacuum column of each edge term directly, and each later order
 (``advance_order``) combines up to four lower-order sets against every
-edge through the commutator kernel.
+edge through the commutator kernel.  Edge terms are the model's
+``EdgeTerm``s, read in place: their endpoints, their operator's
+``rows`` and the kernels cached on that operator.
 
 Tuples of lower-order sets are enumerated as multisets in a fixed pool
 order with a 1/(multiplicity factorial) weight per repeated item, which
@@ -21,8 +23,8 @@ only 12 of the 34 multisets of size one to four give a nested commutator
 that is not identically zero, whatever the edge operator: every single
 and every pair, plus {1, 1, 2}, {1, 2, 2} and {1, 1, 2, 2}.  In all the
 others each target entry receives one operator entry with signs summing
-to zero.  The enumeration carries the multiset as a base-5 count code,
-emits only live codes, and extends a partial tuple only while some live
+to zero.  The enumeration carries the multiset as a base-5 count code
+(``kernel.CODE``), emits only live codes, and extends a partial tuple only while some live
 multiset still strictly contains it, so it skips exactly the tuples
 whose kernel result is empty and sums everything else in the same order.
 
@@ -34,12 +36,16 @@ Each edge walks a pool of candidate records: the stored sets that meet
 the edge, order by order, each order in bin order.  The pool is read
 from the table's bins (``setalg.bin_candidates``) when the edge's walk
 starts and freed when it ends, so between advances a solve holds only
-its table and two caches.  The excitation-energy cache keeps set
-prefixes, not the sets themselves.
+its table and one cache, the excitation energies of set prefixes (not
+of the sets themselves).
 
 ``tangent_pass`` differentiates a solved table along one extra edge
-term (forward mode with sparsity): it walks the same records in the
-same order, but only through tuples that carry a derivative.
+term (forward mode with sparsity): the observable is one more
+``EdgeTerm`` after the model's, and the pass walks the same records in
+the same order, but only through tuples that carry a derivative.  It
+shares the solve's steps: the vacuum column for order 1, the records
+of a pool section, the kernel slots and the division by excitation
+energies.
 """
 
 from __future__ import annotations
@@ -49,13 +55,8 @@ from itertools import combinations
 from math import isfinite
 
 from .errors import InvalidThreshold
-from .kernel import edge_kernel
-from .model import TwoQubitOperator
+from .kernel import CODE, NCODES, edge_kernel
 from .setalg import CoefficientTable, bin_candidates, install_order, members_of
-
-# multiset code of edge-bit patterns: base-5 counts of patterns 1, 2 and 3
-_W = (0, 1, 5, 25)
-_NCODES = 125
 
 _LIVE_MULTISETS = (
     (1,), (2,), (3,),
@@ -66,18 +67,13 @@ _LIVE_MULTISETS = (
 
 
 def _code(sbits):
-    return sum(_W[sb] for sb in sbits)
-
-
-def _code_bits(code):
-    """Sorted edge-bit tuple of a multiset code."""
-    return (1,) * (code % 5) + (2,) * (code // 5 % 5) + (3,) * (code // 25)
+    return sum(CODE[sb] for sb in sbits)
 
 
 # LIVE[code]: the multiset's nested commutator is not identically zero.
 # GROWS[code]: some live multiset strictly contains it (never at size 4).
-LIVE = [False] * _NCODES
-GROWS = [False] * _NCODES
+LIVE = [False] * NCODES
+GROWS = [False] * NCODES
 for _ms in _LIVE_MULTISETS:
     LIVE[_code(_ms)] = True
     for _k in range(len(_ms)):
@@ -86,17 +82,17 @@ for _ms in _LIVE_MULTISETS:
 
 
 class SolverState:
-    """Coefficient table plus bookkeeping for resuming at the next order.
+    """A model and its coefficient table, resumable at the next order.
 
     A new state holds no order; each ``advance_order`` adds the next,
     starting at order 1.  A threshold that is not a finite number >= 0
-    raises InvalidThreshold (see ``_freeze_order``).  Besides the table
-    it keeps two caches.  ``_mecaches`` holds one slot per edge and
-    multiset code: the operator's kernel patterns (``kernel.edge_kernel``)
-    mapped onto that edge's bitmasks, filled on first use.  ``_e0``
-    caches excitation energies of set prefixes.
-    Both are pure functions of the model, so ``tangent_pass`` may fill
-    them without changing what a later pass or advance computes.
+    raises InvalidThreshold (see ``_freeze_order``).  Every edge term is
+    read from ``model.edges``, and its kernels from the slots cached on
+    its operator (``kernel.edge_kernel``), so the state keeps no copy of
+    either.  Besides the table it keeps one cache, ``_e0``: excitation
+    energies of set prefixes, a pure function of the model, so
+    ``tangent_pass`` may fill it without changing what a later pass or
+    advance computes.
     """
 
     __slots__ = (
@@ -106,29 +102,22 @@ class SolverState:
         "norms",
         "dropped",
         "threshold",
-        "deltas",
-        "terms",
-        "_mecaches",
         "_e0",
     )
 
     def __init__(self, model, threshold):
         if not (isfinite(threshold) and threshold >= 0):
             raise InvalidThreshold(f"threshold must be a finite number >= 0, got {threshold}")
-        terms = _prepare_terms(model)
         self.model = model
         self.table = CoefficientTable()
         self.current_order = 0
         self.norms = []
         self.dropped = []
         self.threshold = threshold
-        self.deltas = model.deltas
-        self.terms = terms
-        self._mecaches = [[None] * _NCODES for _ in terms]
         self._e0 = {}
 
     def excitation_energy(self, mask):
-        """Sum of ``deltas`` over the set, added in increasing vertex order.
+        """Sum of the model's ``deltas`` over the set, added in increasing vertex order.
 
         That sum, up to its last term, is the sum of the set's prefix (the
         set without its highest vertex), so the prefix's sum is looked up,
@@ -139,51 +128,68 @@ class SolverState:
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
         if not rest:
-            return 0.0 + self.deltas[top]
+            return 0.0 + self.model.deltas[top]
         e = self._e0.get(rest)
         if e is None:
             e = self._e0[rest] = self.excitation_energy(rest)
-        return e + self.deltas[top]
+        return e + self.model.deltas[top]
 
 
-def _prepare_terms(model):
-    """Edge terms as (u, v, nested tuple of entries) for fast scalar access."""
-    return [
-        (e.u, e.v, tuple(tuple(row) for row in e.op.entries.tolist()))
-        for e in model.edges
-    ]
+def _vacuum_column(edges):
+    """Order-1 numerators: each edge's vacuum column at {v}, {u} and {u, v}, summed over edges."""
+    acc = {}
+    for e in edges:
+        rows = e.op.rows
+        bu, bv = 1 << e.u, 1 << e.v
+        for mask, value in ((bv, rows[1][0]), (bu, rows[2][0]), (bu | bv, rows[3][0])):
+            if value != 0:
+                prev = acc.get(mask)
+                acc[mask] = value if prev is None else prev + value
+    return acc
+
+
+def _divide(state, acc):
+    """Divide numerators by excitation energies in place, drop exact zeros, return ``acc``.
+
+    The survivors keep their order.
+    """
+    energy = state.excitation_energy
+    zeros = []
+    for mask, numerator in acc.items():
+        value = numerator / energy(mask)
+        if value == 0:
+            zeros.append(mask)
+        else:
+            acc[mask] = value
+    for mask in zeros:
+        del acc[mask]
+    return acc
 
 
 def _freeze_order(state, acc, order):
     """Divide accumulated numerators by excitation energies and store them.
 
     ``acc`` maps vertex bitmasks to numerators and becomes the order's
-    map: each value is divided in place, then exact zeros and entries
-    under the threshold are deleted, so the survivors keep their order.
-    Dropped entries are counted, and their one-norm (largest per-vertex
-    sum of magnitudes, as for ``norms``) goes to ``state.dropped``.
+    map: ``_divide`` turns it into values, then entries under the
+    threshold are deleted, so the survivors keep their order.  Dropped
+    entries are counted, and their one-norm (largest per-vertex sum of
+    magnitudes, as for ``norms``) goes to ``state.dropped``.
     """
+    _divide(state, acc)
     threshold = state.threshold
-    energy = state.excitation_energy
-    gone = []
     dropped = {}
     count = 0
-    for mask, numerator in acc.items():
-        value = numerator / energy(mask)
-        if value == 0:
-            gone.append(mask)
-            continue
-        if threshold > 0.0:
+    if threshold > 0.0:
+        gone = []
+        for mask, value in acc.items():
             mag = abs(value)
             if mag < threshold:
                 gone.append(mask)
-                count += 1
                 for w in members_of(mask):
                     dropped[w] = dropped.get(w, 0.0) + mag
-                continue
-        acc[mask] = value
-    for mask in gone:
-        del acc[mask]
+        for mask in gone:
+            del acc[mask]
+        count = len(gone)
     state.current_order = order
     state.norms.append(install_order(state.table, order, acc))
     state.dropped.append((count, max(dropped.values(), default=0.0)))
@@ -198,44 +204,28 @@ def _edge_records(candidates, u, v, order):
     bu, bv = 1 << u, 1 << v
     off = ~(bu | bv)
     return [
-        (order, mask & off, _W[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value)
+        (order, mask & off, CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value)
         for mask, value in candidates
     ]
-
-
-def _kernel_results(code, op, bit_masks):
-    """((target bit mask, matrix element), ...) for a multiset code, zeros omitted.
-
-    Maps the operator's cached edge-bit patterns onto one edge's bitmasks.
-    """
-    return tuple((bit_masks[s], me) for s, me in edge_kernel(op, _code_bits(code)))
 
 
 def advance_order(state):
     """Extend the table by one order from the already stored ones.
 
-    A state with no order gets order 1, read from the vacuum column of
-    each edge term.  Otherwise, with budget b (the newest stored order),
-    each edge builds its pool of orders 1..b from the bins, walks it and
-    frees it.  Bins only grow once an order is installed, so the pool
-    is the same whichever advance builds it.  Kernel results live on
-    the state, one slot per multiset code and edge, mapped on first use
-    from the patterns cached on the edge's operator.
+    A state with no order gets order 1, the vacuum column of each edge
+    term (``_vacuum_column``).  Otherwise, with budget b (the newest
+    stored order), each edge of ``model.edges`` builds its pool of
+    orders 1..b from the bins, walks it and frees it.  Bins only grow
+    once an order is installed, so the pool is the same whichever
+    advance builds it.  A leaf reads its kernel from the slot of its
+    multiset code on the edge's operator, filled on first use by
+    ``kernel.edge_kernel``, and maps each edge-bit pattern onto the
+    edge's bitmasks.
     """
     budget = state.current_order
+    edges = state.model.edges
     if budget == 0:
-        acc = {}
-        for u, v, entries in state.terms:
-            pair_sets = (
-                (1 << v, entries[1][0]),
-                (1 << u, entries[2][0]),
-                ((1 << u) | (1 << v), entries[3][0]),
-            )
-            for mask, value in pair_sets:
-                if value != 0:
-                    prev = acc.get(mask)
-                    acc[mask] = value if prev is None else prev + value
-        _freeze_order(state, acc, 1)
+        _freeze_order(state, _vacuum_column(edges), 1)
         return state
     table = state.table
     acc = {}
@@ -267,12 +257,12 @@ def advance_order(state):
             if left:
                 grow(i, left, outside2, code2, coeff2, denom2, i, run2)
                 continue
-            mes = mecache[code2]
+            mes = kernels[code2]
             if mes is None:
-                mes = mecache[code2] = _kernel_results(code2, op, bit_masks)
+                mes = edge_kernel(op, code2)
             weight = coeff2 / denom2 if denom2 > 1 else coeff2
-            for bits, me in mes:
-                target = outside2 | bits
+            for pattern, me in mes:
+                target = outside2 | bit_masks[pattern]
                 if not target:
                     continue
                 contrib = weight * me
@@ -280,15 +270,15 @@ def advance_order(state):
                     prev = acc.get(target)
                     acc[target] = contrib if prev is None else prev + contrib
 
-    edges = state.model.edges
-    for idx, (u, v, _entries) in enumerate(state.terms):
+    for e in edges:
+        u, v = e.u, e.v
         pool = []
         for q in range(1, budget + 1):
             pool += _edge_records(bin_candidates(table, u, v, q), u, v, q)
         if not pool:
             continue
-        mecache = state._mecaches[idx]
-        op = edges[idx].op
+        op = e.op
+        kernels = op._kernels
         npool = len(pool)
         bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
         grow(0, budget, 0, 0, 1.0, 1, -1, 0)
@@ -334,62 +324,53 @@ class _TangentPool:
         self.starts = [0, 0]
         self.hot = [[]]
 
-    def add_section(self, base, u, v, order, tangent, extra):
-        """Append one order's records; ``extra`` lists its tangent-only masks."""
-        records = self.records
-        ders = self.ders
-        bu, bv = 1 << u, 1 << v
-        if not tangent:
-            records.extend(base)
-            ders.extend([None] * len(base))
+    def add_section(self, cands, u, v, order, tangent, extra):
+        """Append one order's records from its (mask, value) candidates.
+
+        ``tangent`` maps the order's masks to their derivatives, or is
+        None when no derivative set meets the edge; ``extra`` lists the
+        masks only the tangent table holds.
+        """
+        start = len(self.records)
+        if tangent:
+            bu, bv = 1 << u, 1 << v
+            split = next((i for i, (mask, _value) in enumerate(cands) if not mask & bu),
+                         len(cands))
+            cands = (cands[:split] + [(m, 0j) for m in extra if m & bu] + cands[split:]
+                     + [(m, 0j) for m in extra if m & bv and not m & bu])
+            ders = [tangent.get(mask) for mask, _value in cands]
+            self.hot.append([start + i for i, der in enumerate(ders) if der is not None])
+        else:
+            ders = [None] * len(cands)
             self.hot.append([])
-            self.starts.append(len(records))
-            return
-        full_of = {1: bv, 5: bu, 25: bu | bv}
-        split = len(base)
-        for i, rec in enumerate(base):
-            if rec[2] == 1:
-                split = i
-                break
-        in_u = [m for m in extra if m & bu]
-        in_v = [m for m in extra if m & bv and not m & bu]
-        hot = []
-        for part, more in ((base[:split], in_u), (base[split:], in_v)):
-            for rec in part:
-                der = tangent.get(rec[1] | full_of[rec[2]])
-                if der is not None:
-                    hot.append(len(records))
-                records.append(rec)
-                ders.append(der)
-            for mask in more:
-                sb = (2 if mask & bu else 0) | (1 if mask & bv else 0)
-                hot.append(len(records))
-                records.append((order, mask & ~(bu | bv), _W[sb], 0j))
-                ders.append(tangent[mask])
-        self.hot.append(hot)
-        self.starts.append(len(records))
+        self.records += _edge_records(cands, u, v, order)
+        self.ders += ders
+        self.starts.append(len(self.records))
 
 
 def tangent_pass(state, edge, order):
     """Derivative tables of the solved series along one extra edge term.
 
-    ``edge`` is an observable edge (s, t, nested 4x4 entries) added with
-    a formal strength: the returned ``tangents[q]`` maps vertex bitmasks
-    to the derivative, at zero strength, of the order-q coefficient, for
-    q = 1..order, nonzero entries only.  ``state`` must hold the plain
-    tables up to order - 1 (order 1 when order is 1).  The pass only
-    reads its tables and bins.  It fills the state's two caches, both
-    pure functions of the model: the kernel slots (``_mecaches``) of the
-    model edges it touches and the prefix energies (``_e0``).  So one
-    state serves any number of passes with the same results, and
+    ``edge`` is an observable ``EdgeTerm`` added with a formal strength,
+    and the pass walks it as one more edge after ``model.edges``: the
+    returned ``tangents[q]`` maps vertex bitmasks to the derivative, at
+    zero strength, of the order-q coefficient, for q = 1..order, nonzero
+    entries only.  ``state`` must hold the plain tables up to order - 1
+    (order 1 when order is 1).  The pass only reads its tables and bins.
+    It fills caches that are pure functions of the model and the
+    operators: the state's prefix energies (``_e0``) and the kernel slots
+    of every operator it walks, the observable's included.  So one state
+    serves any number of passes with the same results, and
     ``response.correlator`` reuses it across queries on the same sites
-    and order.  The observable edge gets a new operator, and so its own
-    kernels, on every pass, since its entries change from query to query.
+    and order, and an observable operator keeps its kernels from one
+    query to the next.
 
     Only tuples that hold a derivative-carrying item, or that act through
     the observable edge, are enumerated, in the pool and visit order of
     ``advance_order``, with first-order (dual-number) arithmetic.  The
-    last order keeps only sets of at most two vertices, and alongside it
+    first tangent is the observable's vacuum column (``_vacuum_column``),
+    and every order is divided as ``advance_order`` divides (``_divide``).
+    The last order keeps only sets of at most two vertices, and alongside it
     the pass sums, from the tuples whose outside part lies in {s, t},
     the plain order-``order`` values of {s}, {t} and {s, t}: with the
     lower tables, that is all the next energy coefficient reads.  So
@@ -405,29 +386,19 @@ def tangent_pass(state, edge, order):
     contribution arrived, so with such sets the last bits of a sum can
     differ from a dual-number solve with the observable edge added.
     """
-    s, t, obs_entries = edge
+    s, t = edge.u, edge.v
     st = (1 << s) | (1 << t)
     table = state.table
     top = state.current_order
     if top < max(order - 1, 1):
         raise ValueError(f"state holds orders up to {top}, the pass needs {order - 1}")
-    acc = {}
-    for mask, der in ((1 << t, obs_entries[1][0]), (1 << s, obs_entries[2][0]),
-                      (st, obs_entries[3][0])):
-        if der != 0:
-            acc[mask] = der
-    tangents = {1: _divide(state, acc)}
+    tangents = {1: _divide(state, _vacuum_column((edge,)))}
     if order == 1:
         omap = table.orders.get(1, {})
         return tangents, {mask: omap[mask] for mask in (1 << t, 1 << s, st) if mask in omap}
 
-    terms = list(state.terms)
-    terms.append(edge)
-    obs_idx = len(terms) - 1
-    ops = [e.op for e in state.model.edges]
-    ops.append(TwoQubitOperator(obs_entries))
-    mecaches = list(state._mecaches)
-    mecaches.append([None] * _NCODES)
+    edges = state.model.edges + (edge,)
+    obs_idx = len(edges) - 1
     tpools = {}
     touched = [0]   # touched[q]: vertices of the order-q derivative sets
     extras = [[]]   # extras[q]: masks only the tangent table holds
@@ -447,9 +418,11 @@ def tangent_pass(state, edge, order):
         if last:
             singles, pairs = _value_feeders(table, s, t, k)
         acc = {}
-        for idx, (u, v, _entries) in enumerate(terms):
+        for idx, e in enumerate(edges):
+            u, v = e.u, e.v
             ends = (1 << u) | (1 << v)
-            if idx != obs_idx and not ends & hit and not (
+            obs = idx == obs_idx
+            if not obs and not ends & hit and not (
                 last and (ends & singles or ends in pairs)
             ):
                 continue
@@ -457,18 +430,17 @@ def tangent_pass(state, edge, order):
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
             for q in range(len(tp.starts) - 1, k):
-                if idx != obs_idx and q == top:
+                if not obs and q == top:
                     # the order the state stops at: only the last step reads it
                     cands = _leaf_candidates(table, u, v, q, tan, st)
                 else:
                     cands = bin_candidates(table, u, v, q)
-                    if idx == obs_idx and last:
+                    if obs and last:
                         # later sets never reach a target of at most two vertices
                         cands = [c for c in cands if (c[0] & ~ends).bit_count() <= 2]
-                tp.add_section(_edge_records(cands, u, v, q), u, v, q,
+                tp.add_section(cands, u, v, q,
                                tangents[q] if ends & touched[q] else None, extras[q])
-            _tangent_edge(u, v, ops[idx], tp, mecaches[idx], budget,
-                          idx == obs_idx, last, st, acc, vacc)
+            _tangent_edge(e, tp, budget, obs, last, st, acc, vacc)
         tangents[k] = _divide(state, acc)
     return tangents, _divide(state, vacc)
 
@@ -513,17 +485,7 @@ def _leaf_candidates(table, u, v, order, derived, st):
     ]
 
 
-def _divide(state, acc):
-    """Numerators divided by excitation energies, as _freeze_order does; zeros left out."""
-    out = {}
-    for mask, numerator in acc.items():
-        der = numerator / state.excitation_energy(mask)
-        if der != 0:
-            out[mask] = der
-    return out
-
-
-def _tangent_edge(u, v, op, tp, mecache, budget, obs, last, st, acc, vacc):
+def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
     """Add one edge's tangent tuples of total order ``budget`` to ``acc``.
 
     ``seek`` walks prefixes that hold no derivative yet: it descends only
@@ -537,6 +499,8 @@ def _tangent_edge(u, v, op, tp, mecache, budget, obs, last, st, acc, vacc):
     ders = tp.ders
     starts = tp.starts
     npool = len(pool)
+    u, v, op = edge.u, edge.v, edge.op
+    kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
     notst = ~st
     hot = tp.hot
@@ -550,16 +514,16 @@ def _tangent_edge(u, v, op, tp, mecache, budget, obs, last, st, acc, vacc):
         hot_max.append(max(hot_max[-1], hot[q][-1] if hot[q] else -1))
 
     def emit(outside2, code2, cv2, cd2, denom2):
-        mes = mecache[code2]
+        mes = kernels[code2]
         if mes is None:
-            mes = mecache[code2] = _kernel_results(code2, op, bit_masks)
+            mes = edge_kernel(op, code2)
         if denom2 > 1:
             wv = cv2 / denom2
             wd = None if cd2 is None else cd2 / denom2
         else:
             wv, wd = cv2, cd2
-        for bits, me in mes:
-            target = outside2 | bits
+        for pattern, me in mes:
+            target = outside2 | bit_masks[pattern]
             if not target:
                 continue
             if obs:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ktspin import model_to_dict, save_model
+from ktspin import choose_correlator_order, load_model, model_to_dict, save_model
 from ktspin.cli import main
 from conftest import make_model, random_model, tf_edge_model, topology_pairs
 
@@ -200,6 +200,49 @@ def test_correlate_json_document(capsys, tf_path):
     assert doc["bound"] == pytest.approx(2.0**-18 * 2 * 1 * 2)
 
 
+def test_correlate_precision_selects_same_output_as_explicit_order(capsys, tf_path):
+    base = ["correlate", tf_path, "--s", "0", "--t", "1", "--observable", "ZI",
+            "--epsilon", "1e-7", "--json"]
+    code, by_prec, _ = run_json(capsys, base + ["--precision", "1e-6"])
+    assert code == 0
+    m = load_model(tf_path)
+    p = by_prec["p"]
+    assert p == choose_correlator_order(1e-6, m.J, m.d) > 0
+    code, by_order, _ = run_json(capsys, base + ["--order", str(p)])
+    assert code == 0
+    assert by_order == by_prec
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--epsilon", "nan", "--order", "2"],
+        ["--epsilon", "1e-7", "--order", "-1"],
+        ["--epsilon", "1e-7", "--precision", "0"],
+    ],
+)
+def test_correlate_bad_strength_order_or_precision_exits_2(capsys, tf_path, flags):
+    argv = ["correlate", tf_path, "--s", "0", "--t", "1", "--observable", "ZI"] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["energy", "series"])
+def test_precision_on_an_empty_model_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    argv = [command, str(path), "--precision", "1e-6"]
+    if command == "energy":
+        argv += ["--epsilon", "1e-9"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "at least one vertex" in captured.err
+
+
 def test_correlate_outside_regime_warns_and_strict_exits_3(capsys, tf_path):
     argv = [
         "correlate", tf_path, "--s", "0", "--t", "1",
@@ -341,6 +384,15 @@ def test_verify_battery_passes(capsys):
     names = " ".join(c["name"] for c in doc["checks"])
     for token in ("kernel", "series", "gap", "correlator", "correlator-sites-0-2", "extract"):
         assert token in names
+
+
+def test_verify_text_mode_on_ring_models(capsys):
+    # the second seed draws a ring model
+    assert main(["verify", "--max-qubits", "5", "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith("PASS ") for line in lines)
+    assert lines[-1] == "PASS overall"
 
 
 @pytest.mark.parametrize("qubits", ["2", "1"])

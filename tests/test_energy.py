@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ktspin import (
+    EmptySet,
     NonFiniteStrength,
     NonPositiveGap,
     NonPositivePrecision,
@@ -133,7 +134,7 @@ def test_choose_order_validates():
         choose_order(2, 0.0, 1e-6)
     with pytest.raises(NonPositivePrecision):
         choose_order(2, 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptySet):
         choose_order(0, 1.0, 1e-6)
 
 

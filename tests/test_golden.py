@@ -17,6 +17,7 @@ import random
 
 from ktspin import (
     CorrelatorQuery,
+    EdgeTerm,
     TwoQubitOperator,
     correlator,
     load_model,
@@ -154,7 +155,7 @@ def test_ring_correlator_with_derivative_only_sets_bytes():
     model = model_from_dict(hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212))
     state = solve(model, 4)
     zz = parse_pauli_expression("0.5 ZZ")
-    tangents, _values = tangent_pass(state, (2, 7, tuple(map(tuple, zz.tolist()))), 5)
+    tangents, _values = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), 5)
     assert any(m not in state.table.orders[3] for m in tangents[3])
     # the converse, so that a key of another kind cannot pass the line above
     assert any(m in state.table.orders[3] for m in tangents[3])

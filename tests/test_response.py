@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from ktspin import (
     CorrelatorQuery,
     DanglingVertexId,
+    EdgeTerm,
     InvalidObservable,
     NonFiniteStrength,
     NonPositivePrecision,
     SelfLoop,
+    TwoQubitOperator,
     choose_correlator_order,
     correlator,
     energy_series,
@@ -40,8 +42,6 @@ def zi():
 
 
 def query(s, t, obs, eps, order):
-    from ktspin.model import TwoQubitOperator
-
     return CorrelatorQuery(
         s=s, t=t, observable=TwoQubitOperator(obs), epsilon=eps, order=order
     )
@@ -167,21 +167,24 @@ def _cold_copy(m):
 def test_warm_operators_give_the_cold_answers(rng):
     # kernels cached on an operator by one light cone must serve any other:
     # each answer on operators warmed by queries on other pairs, whose
-    # submodels number the sites differently, equals a model built anew
+    # submodels number the sites differently, equals a model built anew.
+    # The observable is one operator too, warmed by every query before, and
+    # each cold answer takes a new one.
     for m in (random_model(rng, topology_pairs("ring", 14), 14),
               random_model(rng, grid_pairs(3, 3), 9)):
-        obs = random_hermitian_op(rng)
+        # under the model's edge norms, so no rescaled copy replaces it
+        warm_obs = TwoQubitOperator(random_hermitian_op(rng, 0.5 * m.J))
         eps = m.eps0_star / (2 * m.d)
         for s, t in ((0, 1), (3, 5), (2, 6)):
             for ws, wt in ((0, 1), (3, 5), (2, 6)):
                 if (ws, wt) != (s, t):
-                    correlator(m, query(ws, wt, obs, eps, 5))
+                    correlator(m, CorrelatorQuery(ws, wt, warm_obs, eps, 5))
             for order in range(1, 6):
-                q = query(s, t, obs, eps, order)
-                warm = correlator(m, q)
-                cold = correlator(_cold_copy(m), q)
+                warm = correlator(m, CorrelatorQuery(s, t, warm_obs, eps, order))
+                cold = correlator(_cold_copy(m), query(s, t, warm_obs.entries, eps, order))
                 assert warm.value == cold.value, (s, t, order)
                 assert warm.coefficients == cold.coefficients, (s, t, order)
+            assert any(warm_obs._kernels)
             # a submodel shares its parent's warm operators
             sub, _mapping = restrict_neighborhood(m, s, t, 3)
             cold_sub, _mapping = restrict_neighborhood(_cold_copy(m), s, t, 3)
@@ -360,8 +363,7 @@ def test_derivative_only_sets_keep_the_slopes():
     zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     p = 5
     state = solve(m, p - 1)
-    entries = tuple(tuple(row) for row in zz.tolist())
-    tangents, _values = tangent_pass(state, (2, 7, entries), p)
+    tangents, _values = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), p)
     derivative_only = [
         mask for q in range(1, p) for mask in tangents[q]
         if mask not in state.table.orders.get(q, {})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ktspin import InvalidThreshold, KtspinError, solve
+from ktspin import EdgeTerm, InvalidThreshold, KtspinError, TwoQubitOperator, solve
 from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import members_of, one_norm, table_lookup
@@ -226,8 +226,8 @@ def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
     m = random_model(rng, topology_pairs("path", 5), 5)
     obs = random_hermitian_op(rng)
     s, t, order = 3, 1, 4
-    entries = tuple(tuple(row) for row in obs.tolist())
-    tangents, values = tangent_pass(solve(m, order - 1), (s, t, entries), order)
+    edge = EdgeTerm(s, t, TwoQubitOperator(obs))
+    tangents, values = tangent_pass(solve(m, order - 1), edge, order)
     lams = [-1.0, -0.5, 0.5, 1.0, 1.5]
     tables = [solve(_with_edge(m, s, t, lam * obs), order).table for lam in lams]
     checked = 0
@@ -254,7 +254,7 @@ def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
     # a value state solved to any depth gives the same tables: its sections
     # come from the bins below its top order and from the leaf filter at it
     for depth in (order, order + 1, order + 2):
-        assert tangent_pass(solve(m, depth), (s, t, entries), order) == (tangents, values)
+        assert tangent_pass(solve(m, depth), edge, order) == (tangents, values)
 
 
 def test_advance_order_resumes_incrementally(rng):
