@@ -36,7 +36,6 @@ from .model import (
     TwoQubitOperator,
     Vertex,
     load_model,
-    parse_pauli_expression,
 )
 from .response import (
     REGIME_NONE,
@@ -106,7 +105,7 @@ def _coeff_pairs(coefficients):
     out = []
     for c in coefficients:
         z = complex(c)
-        out.append([z.real, z.imag])
+        out.append([_finite_or_none(z.real), _finite_or_none(z.imag)])
     return out
 
 
@@ -166,7 +165,7 @@ def _cmd_series(args):
         "p": order,
         "eps0": _finite_or_none(series.eps0),
         "coefficients": _coeff_pairs(series.coefficients),
-        "chi": list(series.norms),
+        "chi": [_finite_or_none(x) for x in series.norms],
         "radius_estimate": _finite_or_none(radius_estimate(series)),
     }
     _emit(payload, args.json)

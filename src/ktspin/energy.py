@@ -140,11 +140,11 @@ def truncation_bound(n, delta_min, order):
 def energy_estimate(series, eps):
     """Partial power sum and, when certified, its truncation bound.
 
-    Outside the guaranteed strength range, or when a threshold dropped
-    coefficients from the solved table, the value is still returned, the
-    bound is None, and a UserWarning is emitted.  A NaN or infinite
-    strength raises NonFiniteStrength: no comparison with ``eps0`` can
-    place it.
+    When the sum is not finite, outside the guaranteed strength range, or
+    when a threshold dropped coefficients from the solved table, the value
+    is still returned, the bound is None, and a UserWarning is emitted.
+    A NaN or infinite strength raises NonFiniteStrength: no comparison
+    with ``eps0`` can place it.
     """
     if not math.isfinite(abs(eps)):
         raise NonFiniteStrength(f"epsilon must be finite, got {eps}")
@@ -154,7 +154,9 @@ def energy_estimate(series, eps):
         power = power * eps
         value = value + coeff * power
     count = sum(c for c, _norm in series.dropped)
-    if count:
+    if not math.isfinite(abs(value)):
+        reason = "the energy value is not finite"
+    elif count:
         reason = f"a threshold dropped {count} coefficients from the solved table"
     elif abs(eps) > series.eps0:
         reason = (

@@ -6,7 +6,9 @@ expectation values, extraction of the creation coefficients from an
 exact ground state, numeric differentiation of the exact energy curve,
 and dense evaluation of nested-commutator matrix elements.  It exists to
 cross-check the series machinery, so it shares no combinatorial code
-with the solver or kernel.
+with the solver or kernel.  scipy is imported only on the sparse route
+(``_sparse_hamiltonian`` and ``_two_lowest`` past ``_DENSE_LIMIT``
+qubits), so a process that never takes it never loads scipy.
 
 Basis convention: bit u of a configuration index is the occupation of
 vertex u (least significant bit is vertex 0).
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import OrthogonalToVacuum, TooManyQubits
 
@@ -68,6 +68,8 @@ def build_hamiltonian(model, eps, cap=QUBIT_CAP):
 
 
 def _sparse_hamiltonian(model, eps):
+    import scipy.sparse as sp
+
     n = model.n
     dim = 1 << n
     rows = [np.arange(dim)]
@@ -131,6 +133,8 @@ def _two_lowest(model, eps, cap):
             return vals[0], vals[1], vecs[:, 0]
         vals, vecs = np.linalg.eig(ham)
         return _real_lowest(model, eps, vals, vecs)
+    import scipy.sparse.linalg as spla
+
     ham = _sparse_hamiltonian(model, eps)
     dim = ham.shape[0]
     v0 = np.full(dim, 1e-3)

@@ -9,6 +9,7 @@ import pytest
 
 from ktspin import choose_correlator_order, load_model, model_to_dict, save_model
 from ktspin.cli import main
+from ktspin.model import parse_pauli_expression
 from conftest import make_model, random_model, tf_edge_model, topology_pairs
 
 
@@ -281,6 +282,29 @@ def test_correlate_never_certifies_a_non_finite_value(capsys, tf_path, tmp_path)
     assert doc["E"] is None
     assert doc["E_im"] is None
     assert doc["bound"] is None
+
+
+def test_energy_never_certifies_a_non_finite_value(capsys, tmp_path):
+    # eps0 is about 1.9e-206, so 1e-300 is inside the certified window,
+    # but E_2 overflows: the bound is withdrawn and every non-finite
+    # coefficient and chi entry prints as null
+    xx = parse_pauli_expression("1e200 XX")
+    path = tmp_path / "huge.json"
+    save_model(make_model([1.0, 1.0, 1.0], [(0, 1, xx), (1, 2, xx)]), path)
+    argv = ["energy", str(path), "--order", "3", "--epsilon", "1e-300", "--json"]
+    code, doc, err = run_json(capsys, argv)
+    assert code == 0
+    assert 1e-300 <= doc["eps0"]
+    assert doc["E"] is None
+    assert doc["bound"] is None
+    assert doc["coefficients"] == [[0.0, 0.0], [None, None], [0.0, 0.0]]
+    assert "not finite" in err
+    assert main(argv + ["--strict"]) == 3
+    capsys.readouterr()
+    code, doc, _ = run_json(capsys, ["series", str(path), "--order", "3", "--json"])
+    assert code == 0
+    assert doc["coefficients"][1] == [None, None]
+    assert doc["chi"] == [1e200, None]
 
 
 def test_correlate_observable_from_file(capsys, tf_path, tmp_path):
