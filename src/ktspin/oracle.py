@@ -6,9 +6,11 @@ expectation values, extraction of the creation coefficients from an
 exact ground state, numeric differentiation of the exact energy curve,
 and dense evaluation of nested-commutator matrix elements.  It exists to
 cross-check the series machinery, so it shares no combinatorial code
-with the solver or kernel.  scipy is imported only on the sparse route
-(``_sparse_hamiltonian`` and ``_two_lowest`` past ``_DENSE_LIMIT``
-qubits), so a process that never takes it never loads scipy.
+with the solver or kernel.  Up to ``_DENSE_LIMIT`` (10) qubits the
+eigensolve is dense; 11-14 qubits take the sparse route
+(``_sparse_hamiltonian`` and scipy's Lanczos and Arnoldi solvers), which
+is the only place scipy is imported, so a process that never takes it
+never loads scipy.
 
 Basis convention: bit u of a configuration index is the occupation of
 vertex u (least significant bit is vertex 0).
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import OrthogonalToVacuum, TooManyQubits
 
 QUBIT_CAP = 14
-_DENSE_LIMIT = 11  # use a dense eigensolver up to this many qubits
+_DENSE_LIMIT = 10  # use a dense eigensolver up to this many qubits
 
 
 def _check_size(n, cap):
@@ -124,15 +126,16 @@ def _norm_scale(model, eps):
 
 
 def _two_lowest(model, eps, cap):
+    """(lowest eigenvalue, next one, lowest eigenvector, the Hamiltonian solved)."""
     n = model.n
     _check_size(n, cap)
     if n <= _DENSE_LIMIT:
         ham = build_hamiltonian(model, eps, cap=cap)
         if model.hermitian:
             vals, vecs = np.linalg.eigh(ham)
-            return vals[0], vals[1], vecs[:, 0]
+            return vals[0], vals[1], vecs[:, 0], ham
         vals, vecs = np.linalg.eig(ham)
-        return _real_lowest(model, eps, vals, vecs)
+        return (*_real_lowest(model, eps, vals, vecs), ham)
     import scipy.sparse.linalg as spla
 
     ham = _sparse_hamiltonian(model, eps)
@@ -142,9 +145,9 @@ def _two_lowest(model, eps, cap):
     if model.hermitian:
         vals, vecs = spla.eigsh(ham, k=2, which="SA", v0=v0, maxiter=10000)
         order = np.argsort(vals)
-        return vals[order[0]], vals[order[1]], vecs[:, order[0]]
+        return vals[order[0]], vals[order[1]], vecs[:, order[0]], ham
     vals, vecs = spla.eigs(ham, k=2, which="SR", v0=v0, maxiter=10000)
-    return _real_lowest(model, eps, vals, vecs)
+    return (*_real_lowest(model, eps, vals, vecs), ham)
 
 
 def _real_lowest(model, eps, vals, vecs):
@@ -161,18 +164,13 @@ def _real_lowest(model, eps, vals, vecs):
 
 def ground(model, eps, cap=QUBIT_CAP):
     """Exact lowest eigenpair; raises if the eigensolve looks unconverged."""
-    e0, _e1, vec = _two_lowest(model, eps, cap)
+    e0, _e1, vec, ham = _two_lowest(model, eps, cap)
     vec = np.asarray(vec, dtype=complex)
     vec = vec / np.linalg.norm(vec)
     a0 = vec[0]
     if abs(a0) > 1e-13:
         vec = vec * (a0.conjugate() / abs(a0))
-    if model.n <= _DENSE_LIMIT:
-        ham = build_hamiltonian(model, eps, cap=cap)
-        resid = float(np.linalg.norm(ham @ vec - e0 * vec))
-    else:
-        ham = _sparse_hamiltonian(model, eps)
-        resid = float(np.linalg.norm(ham @ vec - e0 * vec))
+    resid = float(np.linalg.norm(ham @ vec - e0 * vec))
     scale = max(1.0, _norm_scale(model, eps))
     if resid > 1e-9 * scale:
         raise ArithmeticError(f"eigensolver residual {resid:.3e} too large")
@@ -181,7 +179,7 @@ def ground(model, eps, cap=QUBIT_CAP):
 
 def gap(model, eps, cap=QUBIT_CAP):
     """Difference between the two smallest eigenvalues."""
-    e0, e1, _vec = _two_lowest(model, eps, cap)
+    e0, e1, _vec, _ham = _two_lowest(model, eps, cap)
     return float(e1 - e0)
 
 

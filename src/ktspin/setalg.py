@@ -6,8 +6,11 @@ The table maps (order, mask) -> scalar and additionally keeps, for every
 vertex, per-order bins listing the masks that contain it, in insertion
 order.  The bins make "all stored sets touching an edge" queries cheap
 and give every consumer a reproducible iteration order.  The solver
-stores each order whole, with ``install_order``, which builds the bins
-and the order's one-norm in one pass.
+stores each order whole, with ``install_order``, which only stores the
+order's map: its bins are built the first time anything reads the
+table's bins (``CoefficientTable.bins``), in the map's order.  So an
+order that nothing reads by vertex, such as the last order of a solve
+that stops, is never indexed.
 """
 
 from __future__ import annotations
@@ -34,13 +37,31 @@ def members_of(mask):
 
 
 class CoefficientTable:
-    """Sparse table of per-order set coefficients with per-vertex bins."""
+    """Sparse table of per-order set coefficients with per-vertex bins.
 
-    __slots__ = ("orders", "bins")
+    ``orders`` maps order -> {vertex mask -> scalar}.  ``bins`` maps
+    vertex -> {order -> [vertex mask, ...] in insertion order}; reading
+    it first indexes the orders in ``unindexed`` (installed whole, not
+    yet binned), in the order they were installed.
+    """
+
+    __slots__ = ("orders", "_bins", "unindexed")
 
     def __init__(self):
-        self.orders = {}  # order -> {vertex mask -> scalar}
-        self.bins = {}    # vertex -> {order -> [vertex mask, ...] in insertion order}
+        self.orders = {}
+        self._bins = {}
+        self.unindexed = []
+
+    @property
+    def bins(self):
+        if self.unindexed:
+            bins = self._bins
+            for order in self.unindexed:
+                for mask in self.orders[order]:
+                    for w in members_of(mask):
+                        bins.setdefault(w, {}).setdefault(order, []).append(mask)
+            self.unindexed = []
+        return self._bins
 
     def entry_count(self):
         return sum(len(m) for m in self.orders.values())
@@ -60,40 +81,30 @@ def table_insert(table, order, mask, value):
     _check_set(mask)
     if value == 0:
         return
+    # index the installed orders first, so each bin keeps insertion order
+    bins = table.bins
     omap = table.orders.setdefault(order, {})
     fresh = mask not in omap
     omap[mask] = value
     if fresh:
         for w in members_of(mask):
-            table.bins.setdefault(w, {}).setdefault(order, []).append(mask)
+            bins.setdefault(w, {}).setdefault(order, []).append(mask)
 
 
 def install_order(table, order, omap):
-    """Store a whole order's {mask: nonzero value} map as is, and return its one-norm.
+    """Store a whole order's {mask: nonzero value} map as is.
 
-    The map becomes the table's order entry, not a copy, and its masks
-    join their members' bins in the map's order, as ``table_insert``
-    calls in that order would place them.  The per-vertex magnitude
-    totals of ``one_norm`` are summed in the same pass, in bin order.
-    An empty map stores nothing.
+    The map becomes the table's order entry, not a copy.  Its masks join
+    their members' bins when the bins are next read, in the map's order,
+    as ``table_insert`` calls in that order would place them.  An empty
+    map stores nothing.
     """
     if not omap:
-        return 0.0
-    bins = table.bins
-    totals = {}
-    for mask, value in omap.items():
-        _check_set(mask)
-        mag = abs(value)
-        for w in members_of(mask):
-            bins.setdefault(w, {}).setdefault(order, []).append(mask)
-            totals[w] = totals.get(w, 0.0) + mag
+        return
+    if 0 in omap:
+        raise EmptySet("coefficient sets must be nonempty")
     table.orders[order] = omap
-    # the comparison of one_norm, so that a NaN total never wins
-    best = 0.0
-    for total in totals.values():
-        if total > best:
-            best = total
-    return best
+    table.unindexed.append(order)
 
 
 def table_lookup(table, order, mask):
@@ -111,11 +122,12 @@ def bin_candidates(table, u, v, order):
     omap = table.orders.get(order)
     if not omap:
         return []
+    bins = table.bins
     out = []
-    for mask in table.bins.get(u, {}).get(order, ()):
+    for mask in bins.get(u, {}).get(order, ()):
         out.append((mask, omap[mask]))
     bu = 1 << u
-    for mask in table.bins.get(v, {}).get(order, ()):
+    for mask in bins.get(v, {}).get(order, ()):
         if not mask & bu:
             out.append((mask, omap[mask]))
     return out
@@ -149,16 +161,23 @@ def dump_coefficients(table, fh):
 
     Each line holds {"q", "M", "re", "im"}.  Member lists sort by their
     first member first, so each order is written vertex by vertex: the
-    sets whose lowest member is w, taken from w's bin and sorted among
-    themselves.  No member list is built for more than one such group at
-    a time.
+    order's masks are grouped by their lowest member, straight from the
+    order's map, and each group is sorted by member list on its own.
+    No member list is built for more than one group at a time, and no
+    bin is read.
     """
     for order in sorted(table.orders):
         omap = table.orders[order]
-        for w in sorted(table.bins):
-            below = (1 << w) - 1
-            group = [(members_of(mask), omap[mask])
-                     for mask in table.bins[w].get(order, ()) if not mask & below]
+        groups = {}  # lowest bit -> masks in map order
+        for mask in omap:
+            low = mask & -mask
+            group = groups.get(low)
+            if group is None:
+                groups[low] = [mask]
+            else:
+                group.append(mask)
+        for low in sorted(groups):
+            group = [(members_of(mask), omap[mask]) for mask in groups[low]]
             for members, value in sorted(group, key=itemgetter(0)):
                 val = complex(value)
                 real, imag = val.real, val.imag

@@ -36,8 +36,10 @@ Each edge walks a pool of candidate records: the stored sets that meet
 the edge, order by order, each order in bin order.  The pool is read
 from the table's bins (``setalg.bin_candidates``) when the edge's walk
 starts and freed when it ends, so between advances a solve holds only
-its table and one cache, the excitation energies of set prefixes (not
-of the sets themselves).
+its table.  A frozen order's bins are built when an advance or a
+tangent pass first reads them, so the last order of a solve that stops
+is never indexed.  Excitation energies are summed again for each set,
+never cached.
 
 ``tangent_pass`` differentiates a solved table along one extra edge
 term (forward mode with sparsity): the observable is one more
@@ -89,10 +91,9 @@ class SolverState:
     raises InvalidThreshold (see ``_freeze_order``).  Every edge term is
     read from ``model.edges``, and its kernels from the slots cached on
     its operator (``kernel.edge_kernel``), so the state keeps no copy of
-    either.  Besides the table it keeps one cache, ``_e0``: excitation
-    energies of set prefixes, a pure function of the model, so
-    ``tangent_pass`` may fill it without changing what a later pass or
-    advance computes.
+    either, and it keeps no cache: besides the model and its settings it
+    holds its table, the one-norm of each order and what a threshold
+    dropped from each.
     """
 
     __slots__ = (
@@ -102,7 +103,6 @@ class SolverState:
         "norms",
         "dropped",
         "threshold",
-        "_e0",
     )
 
     def __init__(self, model, threshold):
@@ -114,25 +114,16 @@ class SolverState:
         self.norms = []
         self.dropped = []
         self.threshold = threshold
-        self._e0 = {}
 
     def excitation_energy(self, mask):
-        """Sum of the model's ``deltas`` over the set, added in increasing vertex order.
-
-        That sum, up to its last term, is the sum of the set's prefix (the
-        set without its highest vertex), so the prefix's sum is looked up,
-        or computed the same way and cached, rather than added again.
-        Only prefixes are cached: a set is divided once, when its order
-        is frozen, but its prefix is shared by many sets.
-        """
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        if not rest:
-            return 0.0 + self.model.deltas[top]
-        e = self._e0.get(rest)
-        if e is None:
-            e = self._e0[rest] = self.excitation_energy(rest)
-        return e + self.model.deltas[top]
+        """Sum of the model's ``deltas`` over the set, added in increasing vertex order."""
+        deltas = self.model.deltas
+        energy = 0.0
+        while mask:
+            low = mask & -mask
+            energy += deltas[low.bit_length() - 1]
+            mask ^= low
+        return energy
 
 
 def _vacuum_column(edges):
@@ -170,28 +161,49 @@ def _freeze_order(state, acc, order):
     """Divide accumulated numerators by excitation energies and store them.
 
     ``acc`` maps vertex bitmasks to numerators and becomes the order's
-    map: ``_divide`` turns it into values, then entries under the
-    threshold are deleted, so the survivors keep their order.  Dropped
-    entries are counted, and their one-norm (largest per-vertex sum of
-    magnitudes, as for ``norms``) goes to ``state.dropped``.
+    map: each numerator is divided, as ``_divide`` divides, and exact
+    zeros and entries under the threshold are deleted, so the survivors
+    keep their order.  One member list per set serves the division, the
+    threshold and the one-norm (largest per-vertex sum of magnitudes),
+    each vertex's sum added in the survivors' order, as ``one_norm``
+    adds it in bin order.  Dropped entries are counted, and their
+    one-norm goes to ``state.dropped``.
     """
-    _divide(state, acc)
+    deltas = state.model.deltas
     threshold = state.threshold
+    totals = {}
     dropped = {}
+    gone = []
     count = 0
-    if threshold > 0.0:
-        gone = []
-        for mask, value in acc.items():
-            mag = abs(value)
-            if mag < threshold:
-                gone.append(mask)
-                for w in members_of(mask):
-                    dropped[w] = dropped.get(w, 0.0) + mag
-        for mask in gone:
-            del acc[mask]
-        count = len(gone)
+    for mask, numerator in acc.items():
+        members = members_of(mask)
+        energy = 0.0
+        for w in members:
+            energy += deltas[w]
+        value = numerator / energy
+        if value == 0:
+            gone.append(mask)
+            continue
+        mag = abs(value)
+        if mag < threshold:
+            gone.append(mask)
+            count += 1
+            for w in members:
+                dropped[w] = dropped.get(w, 0.0) + mag
+            continue
+        acc[mask] = value
+        for w in members:
+            totals[w] = totals.get(w, 0.0) + mag
+    for mask in gone:
+        del acc[mask]
+    # the comparison of one_norm, so that a NaN total never wins
+    norm = 0.0
+    for total in totals.values():
+        if total > norm:
+            norm = total
+    install_order(state.table, order, acc)
     state.current_order = order
-    state.norms.append(install_order(state.table, order, acc))
+    state.norms.append(norm)
     state.dropped.append((count, max(dropped.values(), default=0.0)))
 
 
@@ -308,7 +320,9 @@ class _TangentPool:
 
     ``records`` holds pool records as ``advance_order`` builds them: a
     model edge's sections come from the bins, and, for the order the
-    state stops at, only those ``_leaf_candidates`` keeps.  It also holds the
+    state stops at, only those ``_leaf_candidates`` keeps; a
+    value-feeding edge keeps only records whose outside part lies in
+    {s, t} (see ``tangent_pass``).  It also holds the
     records of sets that only the tangent table holds (value 0j), each
     after the value records of its bin; ``ders`` is aligned with it
     (None where the set carries no derivative), ``starts[q]`` is the
@@ -356,11 +370,11 @@ def tangent_pass(state, edge, order):
     returned ``tangents[q]`` maps vertex bitmasks to the derivative, at
     zero strength, of the order-q coefficient, for q = 1..order, nonzero
     entries only.  ``state`` must hold the plain tables up to order - 1
-    (order 1 when order is 1).  The pass only reads its tables and bins.
-    It fills caches that are pure functions of the model and the
-    operators: the state's prefix energies (``_e0``) and the kernel slots
-    of every operator it walks, the observable's included.  So one state
-    serves any number of passes with the same results, and
+    (order 1 when order is 1).  The pass only reads its tables and bins
+    (building the bins of an order not yet indexed, as any reader does).
+    The only caches it fills are the kernel slots of every operator it
+    walks, the observable's included, pure functions of the operators.
+    So one state serves any number of passes with the same results, and
     ``response.correlator`` reuses it across queries on the same sites
     and order, and an observable operator keeps its kernels from one
     query to the next.
@@ -377,8 +391,11 @@ def tangent_pass(state, edge, order):
     when the state stops at order ``order - 1``, as the correlator's
     does, a model edge builds its records of that order, which only the
     last step reads, for just the sets that step can use.  Lower orders
-    come whole from the bins.  Only the edges the pass touches build
-    any records.
+    come whole from the bins, except on a value-feeding edge: one that
+    the last step walks only for the values, since it is not the
+    observable and meets no derivative set.  Its tuples' outside parts
+    must lie in {s, t}, so it builds only the records whose outside part
+    does.  Only the edges the pass touches build any records.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
@@ -429,8 +446,13 @@ def tangent_pass(state, edge, order):
             tp = tpools.get(idx)
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
+            # a value-feeding edge; hit only grows, so it has no sections yet
+            feeds = not obs and not ends & hit
+            far = ~(ends | st)
             for q in range(len(tp.starts) - 1, k):
-                if not obs and q == top:
+                if feeds:
+                    cands = [c for c in bin_candidates(table, u, v, q) if not c[0] & far]
+                elif not obs and q == top:
                     # the order the state stops at: only the last step reads it
                     cands = _leaf_candidates(table, u, v, q, tan, st)
                 else:

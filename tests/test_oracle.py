@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ktspin import OrthogonalToVacuum, TooManyQubits, energy_series
+from ktspin import OrthogonalToVacuum, TooManyQubits, energy_series, save_model
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import (
     apply_two_site,
@@ -23,8 +29,11 @@ from conftest import (
     random_model,
     tf_edge_model,
     tf_exact_energy,
+    tf_matching_model,
     topology_pairs,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_hamiltonian_diagonal_and_offdiagonal():
@@ -145,8 +154,6 @@ def test_gap_at_zero_strength():
 
 def test_sparse_route_matches_dense_route():
     # 12 qubits forces the sparse path; disjoint edges give a closed form
-    from conftest import tf_matching_model
-
     m = tf_matching_model(6)
     assert m.n == 12
     eps = 0.1
@@ -156,6 +163,48 @@ def test_sparse_route_matches_dense_route():
     assert ground(boundary, eps).energy == pytest.approx(
         5.0 * tf_exact_energy(eps), abs=1e-11
     )
+
+
+# A fresh interpreter counts the Hamiltonians each ``ground`` call builds,
+# by route, and whether scipy is loaded after it.
+_ROUTE_PROBE = """
+import json, sys
+import ktspin
+from ktspin import oracle
+
+built = []
+for name in ("build_hamiltonian", "_sparse_hamiltonian"):
+    def spy(*args, _build=getattr(oracle, name), _name=name, **kwargs):
+        built.append(_name)
+        return _build(*args, **kwargs)
+    setattr(oracle, name, spy)
+out = []
+for path in sys.argv[1:]:
+    model = ktspin.load_model(path)
+    del built[:]
+    energy = oracle.ground(model, 0.1).energy
+    scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    out.append({"n": model.n, "built": built[:], "scipy": scipy, "energy": energy})
+print(json.dumps(out))
+"""
+
+
+def test_ten_qubits_go_dense_and_eleven_sparse(tmp_path):
+    # ten decoupled-pair qubits, then the same with one lone qubit added
+    paths = []
+    for m in (tf_matching_model(5), make_model([1.0] * 11, [
+            (e.u, e.v, e.op.entries) for e in tf_matching_model(5).edges])):
+        paths.append(tmp_path / f"model{m.n}.json")
+        save_model(m, paths[-1])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _ROUTE_PROBE, *map(str, paths)],
+                          env=env, capture_output=True, text=True, check=True)
+    dense, sparse = json.loads(proc.stdout.splitlines()[-1])
+    # each call builds its Hamiltonian once, and the residual reuses it
+    assert (dense["n"], dense["built"], dense["scipy"]) == (10, ["build_hamiltonian"], False)
+    assert (sparse["n"], sparse["built"], sparse["scipy"]) == (11, ["_sparse_hamiltonian"], True)
+    for run in (dense, sparse):
+        assert run["energy"] == pytest.approx(5.0 * tf_exact_energy(0.1), abs=1e-11)
 
 
 def test_expectation_product_state():

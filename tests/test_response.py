@@ -22,10 +22,11 @@ from ktspin import (
     restrict_neighborhood,
     solve,
 )
-from ktspin import response
+from ktspin import response, solver
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
+from ktspin.setalg import bin_candidates
 from ktspin.solver import tangent_pass
 from conftest import (
     grid_pairs,
@@ -376,3 +377,39 @@ def test_derivative_only_sets_keep_the_slopes():
     for q in range(p + 1):
         want, scale = _energy_slope(m, 2, 7, zz, q + 1, lams)
         assert abs(r.coefficients[q] - want) <= 1e-9 * max(1.0, scale)
+
+
+def test_value_feeding_edges_build_only_records_inside_the_sites(monkeypatch):
+    # an edge the last step walks only for the values of {s}, {t} and
+    # {s, t} (not the observable, no derivative set on it) reaches them
+    # only through items whose outside part lies in {s, t}
+    rng = np.random.default_rng(5)
+    m = random_model(rng, topology_pairs("ring", 12), 12)
+    obs = random_hermitian_op(rng)
+    sections = []
+    add_section = solver._TangentPool.add_section
+
+    def spy(self, cands, u, v, order, tangent, extra):
+        sections.append((id(self), u, v, order, list(cands), tangent))
+        return add_section(self, cands, u, v, order, tangent, extra)
+
+    monkeypatch.setattr(solver._TangentPool, "add_section", spy)
+    p = 4
+    got = correlator(m, query(2, 5, obs, 1e-3, p))
+    monkeypatch.undo()
+    _key, s, t, state = m._light_cone
+    st = (1 << s) | (1 << t)
+    carries = {}
+    for pool, _u, _v, _q, _cands, tangent in sections:
+        carries[pool] = carries.get(pool, False) or tangent is not None
+    feeders = [sec for sec in sections if not carries[sec[0]]]
+    assert len({sec[0] for sec in feeders}) >= 2
+    dropped = 0
+    for _pool, u, v, q, cands, _tangent in feeders:
+        ends = (1 << u) | (1 << v)
+        full = bin_candidates(state.table, u, v, q)
+        assert cands == [c for c in full if not c[0] & ~(ends | st)]
+        dropped += len(full) - len(cands)
+    assert dropped > 0
+    assert any(c[0] & ~((1 << u) | (1 << v)) for _p, u, v, _q, cands, _t in feeders for c in cands)
+    assert got.value != 0

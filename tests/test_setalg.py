@@ -109,16 +109,56 @@ def test_install_order_matches_one_insert_per_entry():
     for mask, value in entries.items():
         table_insert(one_by_one, 2, mask, value)
     omap = dict(entries)
-    norm = install_order(whole, 2, omap)
+    install_order(whole, 2, omap)
     assert whole.orders[2] is omap
+    # installing builds no bins; the first read of the bins does
+    assert whole.unindexed == [2]
+    assert all(2 not in per_order for per_order in whole._bins.values())
     assert whole.bins == one_by_one.bins
+    assert whole.unindexed == []
     assert list(whole.bins[5][2]) == [_m(2, 5), _m(0, 5), _m(5)]
-    assert norm == one_norm(one_by_one, 2) == 1.5 + abs(0.25 - 1j) + 3.0
+    assert one_norm(whole, 2) == one_norm(one_by_one, 2) == 1.5 + abs(0.25 - 1j) + 3.0
     # an empty order stores nothing, as inserting nothing would
-    assert install_order(whole, 3, {}) == 0.0
-    assert 3 not in whole.orders
+    install_order(whole, 3, {})
+    assert 3 not in whole.orders and whole.unindexed == []
     with pytest.raises(EmptySet):
         install_order(whole, 4, {0: 1.0})
+
+
+def test_reads_index_every_installed_order_in_insertion_order():
+    # two orders wait at once; an insert into the older one indexes both
+    # first, so every bin lists its masks as eager inserts would
+    orders = {
+        2: {_m(1, 4): 1.0, _m(4): -2.0, _m(0, 4): 0.5j},
+        3: {_m(4, 6): 3.0, _m(1): 1.5, _m(1, 4, 6): -1j},
+    }
+    eager = CoefficientTable()
+    lazy = CoefficientTable()
+    for q, entries in orders.items():
+        for mask, value in entries.items():
+            table_insert(eager, q, mask, value)
+        install_order(lazy, q, dict(entries))
+    table_insert(eager, 2, _m(4, 6), 9.0)
+    assert lazy.unindexed == [2, 3]
+    table_insert(lazy, 2, _m(4, 6), 9.0)
+    assert lazy.unindexed == []
+    assert lazy.bins == eager.bins
+    assert list(lazy.bins[4][2]) == [_m(1, 4), _m(4), _m(0, 4), _m(4, 6)]
+    assert [list(per_order) for per_order in lazy.bins.values()] == [
+        list(per_order) for per_order in eager.bins.values()
+    ]
+    for q in (2, 3):
+        assert bin_candidates(lazy, 4, 1, q) == bin_candidates(eager, 4, 1, q)
+        assert one_norm(lazy, q) == one_norm(eager, q)
+    # each accessor indexes on its own, starting from a fresh install
+    for read in (lambda t: bin_candidates(t, 0, 1, 2), lambda t: one_norm(t, 3),
+                 lambda t: table_insert(t, 3, _m(7), 1.0)):
+        fresh = CoefficientTable()
+        for q, entries in orders.items():
+            install_order(fresh, q, dict(entries))
+        read(fresh)
+        assert fresh.unindexed == []
+        assert 2 in fresh._bins[4] and 3 in fresh._bins[4]
 
 
 def test_dump_coefficients_sorted_jsonl():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from ktspin import EdgeTerm, InvalidThreshold, KtspinError, TwoQubitOperator, solve
 from ktspin.clusters import AdjacencyGraph, connected_size
+from ktspin.energy import series_from_state
 from ktspin.oracle import extract_creation_coefficients, ground
-from ktspin.setalg import members_of, one_norm, table_lookup
+from ktspin.setalg import dump_coefficients, members_of, one_norm, table_lookup
 from ktspin.solver import SolverState, advance_order, tangent_pass
 from conftest import (
     make_model,
@@ -147,14 +149,49 @@ def test_threshold_drops_some_entries(rng):
             assert 0 < len(gone) and 0 < len(omap)
 
 
-def test_energy_cache_holds_prefixes_only(rng):
-    # order-p sets reach p + 1 vertices, and only their prefixes are cached
+def test_a_finished_state_holds_only_its_table(rng):
+    # no cache rides along: the model, its table, the solve's settings and
+    # what each order's freeze recorded
     m = random_model(rng, topology_pairs("ring", 7), 7)
     p = 4
     state = solve(m, p)
+    assert SolverState.__slots__ == (
+        "model", "table", "current_order", "norms", "dropped", "threshold",
+    )
+    assert not hasattr(state, "__dict__")
     assert max(mask.bit_count() for mask in state.table.orders[p]) == p + 1
-    assert state._e0
-    assert max(mask.bit_count() for mask in state._e0) <= p
+    assert len(state.norms) == len(state.dropped) == p
+
+
+def test_outputs_never_index_the_last_order(rng):
+    # order p is built from the bins of orders 1..p-1; the energies read
+    # order p by lookup and the dump groups it from its map, so neither
+    # builds its bins
+    m = random_model(rng, topology_pairs("ring", 7), 7)
+    p = 4
+    state = solve(m, p)
+    table = state.table
+    assert table.unindexed == [p]
+    series_from_state(state, p + 1)
+    dump_coefficients(table, io.StringIO())
+    assert table.unindexed == [p]
+    indexed = {q for per_order in table._bins.values() for q in per_order}
+    assert indexed == set(range(1, p))
+
+
+def test_advance_after_a_dump_continues_the_solve(rng):
+    m = random_model(rng, topology_pairs("ring", 7), 7)
+    state = solve(m, 3)
+    series_from_state(state, 4)
+    dump_coefficients(state.table, io.StringIO())
+    advance_order(state)
+    advance_order(state)
+    want = solve(m, 5)
+    for q in range(1, 6):
+        assert list(state.table.orders[q].items()) == list(want.table.orders[q].items())
+    assert state.norms == want.norms
+    assert state.dropped == want.dropped
+    assert state.table.bins == want.table.bins
 
 
 def test_excitation_energy_is_the_left_to_right_sum(rng):
@@ -172,7 +209,7 @@ def test_excitation_energy_is_the_left_to_right_sum(rng):
     for state in (cold, warm):
         for mask in masks:
             assert state.excitation_energy(mask) == plain(mask)
-    # once more, now that every prefix of the masks is cached
+    # once more: the sums computed above leave nothing behind that changes them
     for mask in masks:
         assert cold.excitation_energy(mask) == plain(mask)
 
