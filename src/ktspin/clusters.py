@@ -94,11 +94,6 @@ def cluster_count_bound(graph, size):
     return (4 * graph.degree()) ** (size - 1)
 
 
-def count_bound_holds(graph, root, size):
-    """Whether the enumerated cluster count respects the counting bound."""
-    return len(enumerate_clusters(graph, root, size)) <= cluster_count_bound(graph, size)
-
-
 def connected_size(graph, members):
     """Number of vertices in a smallest connected subgraph containing the set.
 

@@ -28,11 +28,14 @@ def vertex_set(members):
 
 def members_of(mask):
     """Increasing list of the vertex ids set in a bitmask."""
+    # peeling the top bit with bit_length is cheaper on wide masks than
+    # isolating the low one with mask & -mask, which builds a negated copy
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 

@@ -33,13 +33,24 @@ their one-norm, so a caller can tell that the table is no longer the
 exact series.
 
 Each edge walks a pool of candidate records: the stored sets that meet
-the edge, order by order, each order in bin order.  The pool is read
-from the table's bins (``setalg.bin_candidates``) when the edge's walk
-starts and freed when it ends, so between advances a solve holds only
-its table.  A frozen order's bins are built when an advance or a
-tangent pass first reads them, so the last order of a solve that stops
-is never indexed.  Excitation energies are summed again for each set,
-never cached.
+the edge, order by order, each order in the order of
+``setalg.bin_candidates``.  The pool is built in one pass straight from
+the table's bins when the edge's walk starts, together with the index
+where each order's section ends, and freed when the walk ends, so
+between advances a solve holds only its table.  Since the pool is
+sorted by order, a partial tuple with budget r left reads only the
+sections of orders 1..r: those below r extend it, and order r closes
+it, so no record of a higher order is visited.  An edge maps each
+kernel's edge-bit patterns onto its own bitmasks once per multiset
+code, not once per contribution, and frees that map with the pool.
+Each nonzero contribution c is folded into its target's numerator as
+``acc.get(target, complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact
+additive identity (-0.0 + x is x, bit for bit, for +0.0 and -0.0
+too), so a target's first contribution is stored with its own bits,
+and later ones are added in visit order.  A frozen order's bins are
+built when an advance or a tangent pass first reads them, so the last
+order of a solve that stops is never indexed.  Excitation energies
+are summed again for each set, never cached.
 
 ``tangent_pass`` differentiates a solved table along one extra edge
 term (forward mode with sparsity): the observable is one more
@@ -221,18 +232,54 @@ def _edge_records(candidates, u, v, order):
     ]
 
 
+def _edge_pool(table, u, v, budget):
+    """The edge (u, v)'s pool records of orders 1..budget, and each order's section end.
+
+    Records are built as ``_edge_records`` builds them, in one pass
+    straight from the bins, each order in ``bin_candidates`` order.
+    ``ends[q]`` is the index past the last record of order q, so
+    ``ends[0]`` is 0 and order q's section is ``ends[q - 1]:ends[q]``.
+    """
+    orders = table.orders
+    bins = table.bins
+    ubins = bins.get(u, {})
+    vbins = bins.get(v, {})
+    bu, bv = 1 << u, 1 << v
+    off = ~(bu | bv)
+    both, first, second = CODE[3], CODE[2], CODE[1]
+    pool = []
+    ends = [0]
+    for q in range(1, budget + 1):
+        omap = orders.get(q)
+        if omap:
+            pool += [(q, mask & off, both if mask & bv else first, omap[mask])
+                     for mask in ubins.get(q, ())]
+            pool += [(q, mask & off, second, omap[mask])
+                     for mask in vbins.get(q, ()) if not mask & bu]
+        ends.append(len(pool))
+    return pool, ends
+
+
 def advance_order(state):
     """Extend the table by one order from the already stored ones.
 
     A state with no order gets order 1, the vacuum column of each edge
     term (``_vacuum_column``).  Otherwise, with budget b (the newest
     stored order), each edge of ``model.edges`` builds its pool of
-    orders 1..b from the bins, walks it and frees it.  Bins only grow
-    once an order is installed, so the pool is the same whichever
-    advance builds it.  A leaf reads its kernel from the slot of its
-    multiset code on the edge's operator, filled on first use by
-    ``kernel.edge_kernel``, and maps each edge-bit pattern onto the
-    edge's bitmasks.
+    orders 1..b from the bins (``_edge_pool``), walks it and frees it.
+    Bins only grow once an order is installed, so the pool is the same
+    whichever advance builds it.
+
+    A partial tuple with budget r left extends itself by the records of
+    orders below r, then closes with those of order r: each is one
+    section-bounded loop, so no record of a higher order is visited.  A
+    leaf reads its kernel from the slot of its multiset code on the
+    edge's operator, filled on first use by ``kernel.edge_kernel``; the
+    edge maps that kernel's edge-bit patterns onto its own bitmasks once
+    per code, and frees the map with the pool.  Each nonzero contribution
+    is added to its target's numerator in visit order, the first one onto
+    complex(-0.0, -0.0), which stores it with its own bits (see the
+    module docstring).
     """
     budget = state.current_order
     edges = state.model.edges
@@ -241,58 +288,58 @@ def advance_order(state):
         return state
     table = state.table
     acc = {}
+    acc_get = acc.get
+    # the exact additive identity: -0.0 + x is x, bit for bit, +0.0 and -0.0 included
+    zero = complex(-0.0, -0.0)
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
-        for i in range(start, npool):
-            item = pool[i]
-            order = item[0]
-            if order > remaining:
-                break
-            mask = item[1]
+        low = ends[remaining - 1]
+        for i in range(start, low):
+            order, mask, inc, value = pool[i]
             if mask & outside:
                 continue
-            code2 = code + item[2]
-            left = remaining - order
-            if left == 0:
-                if not LIVE[code2]:
-                    continue
-            elif not GROWS[code2]:
+            code2 = code + inc
+            if not GROWS[code2]:
                 continue
-            coeff2 = coeff * item[3]
             if i == last:
-                run2 = run + 1
-                denom2 = denom * run2
+                grow(i, remaining - order, outside | mask, code2, coeff * value,
+                     denom * (run + 1), i, run + 1)
             else:
-                run2 = 1
-                denom2 = denom
-            outside2 = outside | mask
-            if left:
-                grow(i, left, outside2, code2, coeff2, denom2, i, run2)
+                grow(i, remaining - order, outside | mask, code2, coeff * value, denom, i, 1)
+        for i in range(start if start > low else low, ends[remaining]):
+            _order, mask, inc, value = pool[i]
+            if mask & outside:
                 continue
-            mes = kernels[code2]
-            if mes is None:
-                mes = edge_kernel(op, code2)
+            code2 = code + inc
+            if not LIVE[code2]:
+                continue
+            coeff2 = coeff * value
+            denom2 = denom * (run + 1) if i == last else denom
             weight = coeff2 / denom2 if denom2 > 1 else coeff2
-            for pattern, me in mes:
-                target = outside2 | bit_masks[pattern]
+            targets = target_masks[code2]
+            if targets is None:
+                mes = kernels[code2]
+                if mes is None:
+                    mes = edge_kernel(op, code2)
+                targets = target_masks[code2] = [(bit_masks[p], me) for p, me in mes]
+            outside2 = outside | mask
+            for bits, me in targets:
+                target = outside2 | bits
                 if not target:
                     continue
-                contrib = weight * me
-                if contrib != 0:
-                    prev = acc.get(target)
-                    acc[target] = contrib if prev is None else prev + contrib
+                c = weight * me
+                if c:
+                    acc[target] = acc_get(target, zero) + c
 
     for e in edges:
         u, v = e.u, e.v
-        pool = []
-        for q in range(1, budget + 1):
-            pool += _edge_records(bin_candidates(table, u, v, q), u, v, q)
+        pool, ends = _edge_pool(table, u, v, budget)
         if not pool:
             continue
         op = e.op
         kernels = op._kernels
-        npool = len(pool)
         bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
+        target_masks = [None] * NCODES
         grow(0, budget, 0, 0, 1.0, 1, -1, 0)
     # grow refers to itself; dropping it frees acc and the last pool on return
     grow = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import struct
 
 from ktspin import (
     CorrelatorQuery,
@@ -39,6 +40,7 @@ RING_CORRELATOR = "82058b67831434821ed94d428c5b0594649e22b5f8770d1b27e409d0d76b2
 GRID_CORRELATOR = "c45d538d092fb2b7a807d955fab0a9770e43d2d2b756f7b9549ab8e84bbfa22a"
 THRESHOLD_DUMP = "46e00242c0574e0230db87f5f716fce4604e60e86e7b0136805450619f8b655e"
 THRESHOLD_COEFFICIENTS = "42ed57eb995558bcbf57ae27ade2710f35fdf8b9c247f2fdd0bef14602c43f4e"
+WALK_TABLE = "6c596395ed1c8ffea078ac48e4357e36c6712a77acd664b33cfadbb0c8cf3fc5"
 
 
 def _digest(data):
@@ -91,6 +93,30 @@ def hermitian_doc(pairs, n, seed):
     return {"vertices": vertices, "edges": edges}
 
 
+def degree3_doc(seed, n=16):
+    """Ring plus a perfect matching that avoids ring-adjacent pairs, from ``random.Random(seed)``.
+
+    Every third edge is Hermitian; the others are real and non-Hermitian.
+    """
+    rng = random.Random(seed)
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    while True:
+        verts = list(range(n))
+        rng.shuffle(verts)
+        matching = [(verts[2 * i], verts[2 * i + 1]) for i in range(n // 2)]
+        if all((u - v) % n not in (1, n - 1) for u, v in matching):
+            break
+    edges = []
+    for idx, (u, v) in enumerate(ring + matching):
+        if idx % 3:
+            mat = [[[rng.uniform(-1, 1), 0.0] for _ in range(4)] for _ in range(4)]
+        else:
+            mat = _hermitian(rng)
+        edges.append({"u": u, "v": v, "matrix": mat})
+    vertices = [{"id": i, "delta": 0.5 + rng.random()} for i in range(n)]
+    return {"vertices": vertices, "edges": edges}
+
+
 def _model_path(tmp_path):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(golden_doc()))
@@ -131,6 +157,25 @@ def test_thresholded_series_dump_bytes(capsys, tmp_path):
     )
     assert _digest(dump.read_bytes()) == THRESHOLD_DUMP
     assert _digest(json.dumps(payload["coefficients"])) == THRESHOLD_COEFFICIENTS
+
+
+def test_walk_table_bits():
+    # every bit of every stored value, in the order of each order's map:
+    # that is the order in which advance_order first reached each set,
+    # and each value sums the set's contributions in visit order, so the
+    # digest pins the walk's visits, multiplicity weights and folds
+    state = solve(model_from_dict(degree3_doc(1616)), 4)
+    data = bytearray()
+    signed_zeros = 0
+    for q in range(1, 5):
+        for mask, value in state.table.orders[q].items():
+            value = complex(value)
+            data += struct.pack("<iQdd", q, mask, value.real, value.imag)
+            signed_zeros += any(str(part) == "-0.0" for part in (value.real, value.imag))
+    # real edges leave -0.0 parts, so the digest also pins how a first
+    # contribution is stored
+    assert signed_zeros > 0
+    assert _digest(bytes(data)) == WALK_TABLE
 
 
 def test_correlator_coefficient_bytes(tmp_path):

@@ -14,8 +14,8 @@ from ktspin import EdgeTerm, InvalidThreshold, KtspinError, TwoQubitOperator, so
 from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.energy import series_from_state
 from ktspin.oracle import extract_creation_coefficients, ground
-from ktspin.setalg import dump_coefficients, members_of, one_norm, table_lookup
-from ktspin.solver import SolverState, advance_order, tangent_pass
+from ktspin.setalg import bin_candidates, dump_coefficients, members_of, one_norm, table_lookup
+from ktspin.solver import SolverState, _edge_pool, _edge_records, advance_order, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -192,6 +192,20 @@ def test_advance_after_a_dump_continues_the_solve(rng):
     assert state.norms == want.norms
     assert state.dropped == want.dropped
     assert state.table.bins == want.table.bins
+
+
+def test_an_edge_pool_holds_its_bin_candidates_order_by_order(rng):
+    # the pool advance_order builds in one pass: section q holds the
+    # records of bin_candidates(q), in that order, and ends where ends[q] says
+    m = random_model(rng, topology_pairs("ring", 7), 7)
+    p = 4
+    table = solve(m, p).table
+    for e in m.edges:
+        pool, ends = _edge_pool(table, e.u, e.v, p)
+        assert ends[0] == 0 and ends[p] == len(pool)
+        for q in range(1, p + 1):
+            want = _edge_records(bin_candidates(table, e.u, e.v, q), e.u, e.v, q)
+            assert pool[ends[q - 1]:ends[q]] == want
 
 
 def test_excitation_energy_is_the_left_to_right_sum(rng):
