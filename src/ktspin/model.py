@@ -246,8 +246,18 @@ class SpinModel:
         return 2.0 ** -18 * self.Delta / dj
 
 
+def _json_int(value):
+    """A JSON integer as is; a float, bool or string raises TypeError, never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(data):
-    """Build a validated SpinModel from the JSON document structure."""
+    """Build a validated SpinModel from the JSON document structure.
+
+    Vertex ids and edge endpoints must be JSON integers.
+    """
     try:
         raw_vertices = data["vertices"]
         raw_edges = data["edges"]
@@ -258,14 +268,14 @@ def model_from_dict(data):
     vertices = []
     for rv in raw_vertices:
         try:
-            vertices.append(Vertex(id=int(rv["id"]), delta=float(rv["delta"])))
+            vertices.append(Vertex(id=_json_int(rv["id"]), delta=float(rv["delta"])))
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"bad vertex entry {rv!r}") from None
     edges = []
     for re_ in raw_edges:
         try:
-            u = int(re_["u"])
-            v = int(re_["v"])
+            u = _json_int(re_["u"])
+            v = _json_int(re_["v"])
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"bad edge entry {re_!r}") from None
         has_matrix = "matrix" in re_

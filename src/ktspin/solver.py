@@ -54,11 +54,12 @@ are summed again for each set, never cached.
 
 ``tangent_pass`` differentiates a solved table along one extra edge
 term (forward mode with sparsity): the observable is one more
-``EdgeTerm`` after the model's, and the pass walks the same records in
-the same order, but only through tuples that carry a derivative.  It
-shares the solve's steps: the vacuum column for order 1, the records
-of a pool section, the kernel slots and the division by excitation
-energies.
+``EdgeTerm`` after the model's.  Each edge's pool holds the solve's
+records, each with its set's derivative, in the same sections, and one
+walk shaped like the solve's visits them in the same order on (value,
+derivative) pairs, only through tuples that carry a derivative or feed
+the last order's values.  It shares the solve's vacuum column, kernel
+slots and division by excitation energies.
 """
 
 from __future__ import annotations
@@ -218,25 +219,12 @@ def _freeze_order(state, acc, order):
     state.dropped.append((count, max(dropped.values(), default=0.0)))
 
 
-def _edge_records(candidates, u, v, order):
-    """Pool records of one order for the edge (u, v) from its (mask, value) candidates.
-
-    A record is (order, outside bitmask, multiset code of its edge bits,
-    value).
-    """
-    bu, bv = 1 << u, 1 << v
-    off = ~(bu | bv)
-    return [
-        (order, mask & off, CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value)
-        for mask, value in candidates
-    ]
-
-
 def _edge_pool(table, u, v, budget):
     """The edge (u, v)'s pool records of orders 1..budget, and each order's section end.
 
-    Records are built as ``_edge_records`` builds them, in one pass
-    straight from the bins, each order in ``bin_candidates`` order.
+    A record is (order, outside bitmask, multiset code of its edge bits,
+    value), built in one pass straight from the bins, each order in
+    ``bin_candidates`` order.
     ``ends[q]`` is the index past the last record of order q, so
     ``ends[0]`` is 0 and order q's section is ``ends[q - 1]:ends[q]``.
     """
@@ -365,48 +353,55 @@ def times(av, ad, bv, bd):
 class _TangentPool:
     """One edge's pool for the tangent pass, built section by section.
 
-    ``records`` holds pool records as ``advance_order`` builds them: a
-    model edge's sections come from the bins, and, for the order the
-    state stops at, only those ``_leaf_candidates`` keeps; a
-    value-feeding edge keeps only records whose outside part lies in
-    {s, t} (see ``tangent_pass``).  It also holds the
-    records of sets that only the tangent table holds (value 0j), each
-    after the value records of its bin; ``ders`` is aligned with it
-    (None where the set carries no derivative), ``starts[q]`` is the
-    first index of order q, and ``hot[q]`` lists the indices of order q
-    that carry a derivative.
+    ``records`` holds ``_edge_pool``'s records with the set's derivative
+    appended, (order, outside, code, value, derivative), the derivative
+    None where the set carries none; the sets only the tangent table
+    holds come as value 0j after the value records of their bin.
+    ``ends`` is ``_edge_pool``'s, and ``hot[q]`` lists the indices of
+    order q that carry a derivative.
     """
 
-    __slots__ = ("records", "ders", "starts", "hot")
+    __slots__ = ("records", "ends", "hot")
 
     def __init__(self):
         self.records = []
-        self.ders = []
-        self.starts = [0, 0]
+        self.ends = [0]
         self.hot = [[]]
 
-    def add_section(self, cands, u, v, order, tangent, extra):
+    def add_section(self, cands, u, v, order, tangent, extra, inside):
         """Append one order's records from its (mask, value) candidates.
 
         ``tangent`` maps the order's masks to their derivatives, or is
         None when no derivative set meets the edge; ``extra`` lists the
-        masks only the tangent table holds.
+        masks only the tangent table holds.  ``inside`` is None before
+        the last step.  At the last step a record is kept only if its
+        set has at most two vertices off the edge and, if it carries no
+        derivative, its outside part lies in the mask ``inside``.
         """
-        start = len(self.records)
+        bu, bv = 1 << u, 1 << v
+        off = ~(bu | bv)
+        both, first, second = CODE[3], CODE[2], CODE[1]
         if tangent:
-            bu, bv = 1 << u, 1 << v
             split = next((i for i, (mask, _value) in enumerate(cands) if not mask & bu),
                          len(cands))
             cands = (cands[:split] + [(m, 0j) for m in extra if m & bu] + cands[split:]
                      + [(m, 0j) for m in extra if m & bv and not m & bu])
-            ders = [tangent.get(mask) for mask, _value in cands]
-            self.hot.append([start + i for i, der in enumerate(ders) if der is not None])
         else:
-            ders = [None] * len(cands)
-            self.hot.append([])
-        self.records += _edge_records(cands, u, v, order)
-        self.ders += ders
-        self.starts.append(len(self.records))
+            tangent = {}
+        records = self.records
+        hot = []
+        for mask, value in cands:
+            outside = mask & off
+            der = tangent.get(mask)
+            if inside is not None and (outside.bit_count() > 2
+                                       or der is None and outside & ~inside):
+                continue
+            if der is not None:
+                hot.append(len(records))
+            code = (both if mask & bv else first) if mask & bu else second
+            records.append((order, outside, code, value, der))
+        self.hot.append(hot)
+        self.ends.append(len(records))
 
 
 def tangent_pass(state, edge, order):
@@ -431,18 +426,13 @@ def tangent_pass(state, edge, order):
     ``advance_order``, with first-order (dual-number) arithmetic.  The
     first tangent is the observable's vacuum column (``_vacuum_column``),
     and every order is divided as ``advance_order`` divides (``_divide``).
-    The last order keeps only sets of at most two vertices, and alongside it
-    the pass sums, from the tuples whose outside part lies in {s, t},
-    the plain order-``order`` values of {s}, {t} and {s, t}: with the
-    lower tables, that is all the next energy coefficient reads.  So
-    when the state stops at order ``order - 1``, as the correlator's
-    does, a model edge builds its records of that order, which only the
-    last step reads, for just the sets that step can use.  Lower orders
-    come whole from the bins, except on a value-feeding edge: one that
-    the last step walks only for the values, since it is not the
-    observable and meets no derivative set.  Its tuples' outside parts
-    must lie in {s, t}, so it builds only the records whose outside part
-    does.  Only the edges the pass touches build any records.
+    The last order keeps only sets of at most two vertices, and alongside
+    it the pass sums, from the model edges' tuples whose outside part
+    lies in {s, t}, the plain order-``order`` values of {s}, {t} and
+    {s, t}: with the lower tables, that is all the next energy
+    coefficient reads.  So the sections an edge builds at the last step
+    keep only the records that step can use (``add_section``'s rule),
+    and only the edges the pass touches build any records.
     Returns (tangents, values), ``values`` keyed by bitmask.
 
     A set whose value is exactly zero but whose derivative is not goes
@@ -484,31 +474,25 @@ def tangent_pass(state, edge, order):
         acc = {}
         for idx, e in enumerate(edges):
             u, v = e.u, e.v
-            ends = (1 << u) | (1 << v)
+            uv = (1 << u) | (1 << v)
             obs = idx == obs_idx
-            if not obs and not ends & hit and not (
-                last and (ends & singles or ends in pairs)
+            if not obs and not uv & hit and not (
+                last and (uv & singles or uv in pairs)
             ):
                 continue
             tp = tpools.get(idx)
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
-            # a value-feeding edge; hit only grows, so it has no sections yet
-            feeds = not obs and not ends & hit
-            far = ~(ends | st)
-            for q in range(len(tp.starts) - 1, k):
-                if feeds:
-                    cands = [c for c in bin_candidates(table, u, v, q) if not c[0] & far]
-                elif not obs and q == top:
-                    # the order the state stops at: only the last step reads it
-                    cands = _leaf_candidates(table, u, v, q, tan, st)
-                else:
-                    cands = bin_candidates(table, u, v, q)
-                    if obs and last:
-                        # later sets never reach a target of at most two vertices
-                        cands = [c for c in cands if (c[0] & ~ends).bit_count() <= 2]
-                tp.add_section(cands, u, v, q,
-                               tangents[q] if ends & touched[q] else None, extras[q])
+            for q in range(len(tp.ends), k):
+                inside = None
+                if last:
+                    # on a model edge, a record with no derivative feeds
+                    # only the values, so lies in {s, t} off the edge, when
+                    # it is a whole tuple or the edge meets no derivative
+                    # set; ~0 admits every vertex
+                    inside = st if not obs and (q == budget or not uv & hit) else ~0
+                tp.add_section(bin_candidates(table, u, v, q), u, v, q,
+                               tangents[q] if uv & touched[q] else None, extras[q], inside)
             _tangent_edge(e, tp, budget, obs, last, st, acc, vacc)
         tangents[k] = _divide(state, acc)
     return tangents, _divide(state, vacc)
@@ -537,47 +521,27 @@ def _value_feeders(table, s, t, below):
     return singles, pairs
 
 
-def _leaf_candidates(table, u, v, order, derived, st):
-    """The stored (mask, value) pairs of ``order`` on the edge (u, v) that a last step reads.
-
-    At the last step a model edge reaches the records of the order below
-    only as one-item tuples from ``hot``: sets in ``derived`` (those
-    carrying a derivative) with at most two vertices off the edge, and
-    sets whose vertices off the edge lie in ``st``.  They come in the
-    order of ``bin_candidates``; dropping the others moves no record
-    that is read relative to another.
-    """
-    off = ~((1 << u) | (1 << v))
-    return [
-        (mask, value) for mask, value in bin_candidates(table, u, v, order)
-        if ((mask & off).bit_count() <= 2 if mask in derived else not mask & off & ~st)
-    ]
-
-
 def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
     """Add one edge's tangent tuples of total order ``budget`` to ``acc``.
 
-    ``seek`` walks prefixes that hold no derivative yet: it descends only
-    where a derivative-carrying (or, at the last order, value-feeding)
-    item can still follow, and takes leaves from ``hot`` lists only.
-    ``grow`` walks prefixes that do, like ``advance_order``'s grow.  On
-    the observable edge every tuple carries a derivative, through the
-    kernel, so ``grow`` starts there.
+    ``walk`` is ``advance_order``'s walk on (value, derivative) pairs.  A
+    prefix carries when it is on the observable edge, whose kernel
+    carries the derivative, or holds a derivative.  One that does not
+    extends only where a record of ``hot`` can still follow, and closes
+    from ``hot``: the records that carry a derivative and, at the last
+    order, the value-only ones whose outside part lies in {s, t}.
     """
-    pool = tp.records
-    ders = tp.ders
-    starts = tp.starts
-    npool = len(pool)
+    records = tp.records
+    ends = tp.ends
     u, v, op = edge.u, edge.v, edge.op
     kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
     notst = ~st
     hot = tp.hot
     if last:
-        # value-feeding leaves: outside part within {s, t}
-        hot = [sorted(h + [i for i in range(starts[q], starts[q + 1])
-                           if ders[i] is None and not pool[i][1] & notst])
-               for q, h in enumerate(hot)]
+        hot = [[]] + [sorted(h + [i for i in range(lo, hi)
+                                  if records[i][4] is None and not records[i][1] & notst])
+                      for h, lo, hi in zip(hot[1:], ends, ends[1:])]
     hot_max = [-1]
     for q in range(1, budget + 1):
         hot_max.append(max(hot_max[-1], hot[q][-1] if hot[q] else -1))
@@ -609,92 +573,52 @@ def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
                 prev = acc.get(target)
                 acc[target] = dc if prev is None else prev + dc
 
-    def grow(start, remaining, outside, code, cv, cd, denom, last_i, run):
-        for i in range(start, npool):
-            item = pool[i]
-            order = item[0]
-            if order > remaining:
-                break
-            mask = item[1]
+    def walk(start, remaining, outside, code, cv, cd, denom, last_i, run):
+        carries = obs or cd is not None
+        low = ends[remaining - 1]
+        for i in range(start, low):
+            order, mask, inc, value, der = records[i]
             if mask & outside:
                 continue
-            code2 = code + item[2]
-            left = remaining - order
-            if left == 0:
-                if not LIVE[code2]:
-                    continue
-            elif not GROWS[code2]:
-                continue
-            outside2 = outside | mask
-            if last and outside2.bit_count() > 2:
-                continue
-            cv2, cd2 = times(cv, cd, item[3], ders[i])
-            if i == last_i:
-                run2 = run + 1
-                denom2 = denom * run2
-            else:
-                run2 = 1
-                denom2 = denom
-            if left:
-                grow(i, left, outside2, code2, cv2, cd2, denom2, i, run2)
-            else:
-                emit(outside2, code2, cv2, cd2, denom2)
-
-    def seek(start, remaining, outside, code, cv, denom, last_i, run):
-        for i in range(start, starts[remaining]):
-            item = pool[i]
-            mask = item[1]
-            if mask & outside:
-                continue
-            code2 = code + item[2]
+            code2 = code + inc
             if not GROWS[code2]:
                 continue
-            left = remaining - item[0]
-            der = ders[i]
-            if der is None and hot_max[left] < i:
+            left = remaining - order
+            if not carries and der is None and hot_max[left] < i:
                 continue
             outside2 = outside | mask
             if last and outside2.bit_count() > 2:
                 continue
+            if der is None and cd is None:
+                # the product times returns, without the cost of the call
+                cv2, cd2 = cv * value, None
+            else:
+                cv2, cd2 = times(cv, cd, value, der)
             if i == last_i:
-                run2 = run + 1
-                denom2 = denom * run2
+                walk(i, left, outside2, code2, cv2, cd2, denom * (run + 1), i, run + 1)
             else:
-                run2 = 1
-                denom2 = denom
-            if der is None:
-                seek(i, left, outside2, code2, cv * item[3], denom2, i, run2)
-            else:
-                cv2, cd2 = times(cv, None, item[3], der)
-                grow(i, left, outside2, code2, cv2, cd2, denom2, i, run2)
-        leaves = hot[remaining]
-        for j in range(bisect_left(leaves, start), len(leaves)):
-            i = leaves[j]
-            item = pool[i]
-            mask = item[1]
+                walk(i, left, outside2, code2, cv2, cd2, denom, i, 1)
+        if carries:
+            leaves = range(start if start > low else low, ends[remaining])
+        else:
+            leaves = hot[remaining]
+            leaves = leaves[bisect_left(leaves, start):]
+        for i in leaves:
+            _order, mask, inc, value, der = records[i]
             if mask & outside:
                 continue
-            code2 = code + item[2]
+            code2 = code + inc
             if not LIVE[code2]:
                 continue
             outside2 = outside | mask
-            der = ders[i]
-            if der is None:
-                if outside2 & notst:
-                    continue
-            elif last and outside2.bit_count() > 2:
+            if last and outside2.bit_count() > 2:
                 continue
-            if i == last_i:
-                denom2 = denom * (run + 1)
-            else:
-                denom2 = denom
-            cv2, cd2 = times(cv, None, item[3], der)
-            emit(outside2, code2, cv2, cd2, denom2)
+            if der is None and not carries and outside2 & notst:
+                continue
+            cv2, cd2 = times(cv, cd, value, der)
+            emit(outside2, code2, cv2, cd2, denom * (run + 1) if i == last_i else denom)
 
-    if obs:
-        grow(0, budget, 0, 0, 1.0, None, 1, -1, 0)
-    else:
-        seek(0, budget, 0, 0, 1.0, 1, -1, 0)
+    walk(0, budget, 0, 0, 1.0, None, 1, -1, 0)
 
 
 def solve(model, order, threshold=0.0):

@@ -41,6 +41,7 @@ GRID_CORRELATOR = "c45d538d092fb2b7a807d955fab0a9770e43d2d2b756f7b9549ab8e84bbfa
 THRESHOLD_DUMP = "46e00242c0574e0230db87f5f716fce4604e60e86e7b0136805450619f8b655e"
 THRESHOLD_COEFFICIENTS = "42ed57eb995558bcbf57ae27ade2710f35fdf8b9c247f2fdd0bef14602c43f4e"
 WALK_TABLE = "6c596395ed1c8ffea078ac48e4357e36c6712a77acd664b33cfadbb0c8cf3fc5"
+TANGENT_TABLES = "0114b56a6fd0fdcf32635d3357b9f8ba6499aeb65c5f16ae49c17bf857df2b31"
 
 
 def _digest(data):
@@ -176,6 +177,40 @@ def test_walk_table_bits():
     # contribution is stored
     assert signed_zeros > 0
     assert _digest(bytes(data)) == WALK_TABLE
+
+
+def test_tangent_table_bits():
+    # every bit of every tangent_pass result, in each map's order, on
+    # adjacent and distant sites: the digest pins the pass's visits,
+    # weights and folds, and where its derivative-only sets sit in the
+    # pools, which the final coefficients alone pin only in part
+    model = model_from_dict(degree3_doc(1616))
+    rng = random.Random(1717)
+    sites = [(0, 1), (0, 5), (3, 11), (7, 8)]
+    ops = [
+        TwoQubitOperator([[complex(re, im) for re, im in row] for row in _hermitian(rng, 0.3)])
+        for _ in sites
+    ]
+    data = bytearray()
+    derivative_only = 0
+    for p in (3, 4, 5):
+        state = solve(model, p - 1)
+        for (s, t), op in zip(sites, ops):
+            tangents, values = tangent_pass(state, EdgeTerm(s, t, op), p)
+            for q in sorted(tangents):
+                for mask, value in tangents[q].items():
+                    value = complex(value)
+                    data += struct.pack("<iQdd", q, mask, value.real, value.imag)
+                if q < p:
+                    orders = state.table.orders.get(q, {})
+                    derivative_only += sum(mask not in orders for mask in tangents[q])
+            # the last order's values of {s}, {t} and {s, t}, after its tangents
+            for mask, value in values.items():
+                value = complex(value)
+                data += struct.pack("<iQdd", p + 1, mask, value.real, value.imag)
+    # sets whose value is exactly zero but whose derivative is not (737 of them)
+    assert derivative_only > 500
+    assert _digest(bytes(data)) == TANGENT_TABLES
 
 
 def test_correlator_coefficient_bytes(tmp_path):

@@ -221,6 +221,12 @@ def test_dict_requires_exactly_one_operator_form():
         ("edges", 5),
         ("edges", [{"u": 0, "v": 1, "pauli": 5}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[1, 0]] * 4, [[1, 0]]] * 2}]),
+        # ids and endpoints are JSON integers: a float, a bool or a string is
+        # rejected, not truncated to another model's vertex
+        ("vertices", [{"id": 0, "delta": 1.0}, {"id": 1.9, "delta": 1.0}]),
+        ("edges", [{"u": 0.2, "v": 1.7, "pauli": "XX"}]),
+        ("edges", [{"u": True, "v": 1, "pauli": "XX"}]),
+        ("edges", [{"u": 0, "v": "1", "pauli": "XX"}]),
     ],
 )
 def test_dict_rejects_malformed_documents(key, value):

@@ -23,6 +23,7 @@ from ktspin import (
     solve,
 )
 from ktspin import response, solver
+from ktspin.kernel import CODE
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
@@ -389,9 +390,10 @@ def test_value_feeding_edges_build_only_records_inside_the_sites(monkeypatch):
     sections = []
     add_section = solver._TangentPool.add_section
 
-    def spy(self, cands, u, v, order, tangent, extra):
-        sections.append((id(self), u, v, order, list(cands), tangent))
-        return add_section(self, cands, u, v, order, tangent, extra)
+    def spy(self, cands, u, v, order, tangent, extra, inside):
+        before = len(self.records)
+        add_section(self, cands, u, v, order, tangent, extra, inside)
+        sections.append((id(self), u, v, order, self.records[before:], tangent))
 
     monkeypatch.setattr(solver._TangentPool, "add_section", spy)
     p = 4
@@ -399,17 +401,52 @@ def test_value_feeding_edges_build_only_records_inside_the_sites(monkeypatch):
     monkeypatch.undo()
     _key, s, t, state = m._light_cone
     st = (1 << s) | (1 << t)
+    # no model edge joins the sites, so the pool on (s, t) is the observable's
+    assert all({e.u, e.v} != {s, t} for e in state.model.edges)
+
+    def full_records(u, v, q, tangent):
+        bu, bv = 1 << u, 1 << v
+        return [
+            (q, mask & ~(bu | bv), CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value,
+             tangent.get(mask) if tangent else None)
+            for mask, value in bin_candidates(state.table, u, v, q)
+        ]
+
     carries = {}
-    for pool, _u, _v, _q, _cands, tangent in sections:
+    for pool, _u, _v, _q, _records, tangent in sections:
         carries[pool] = carries.get(pool, False) or tangent is not None
     feeders = [sec for sec in sections if not carries[sec[0]]]
     assert len({sec[0] for sec in feeders}) >= 2
     dropped = 0
-    for _pool, u, v, q, cands, _tangent in feeders:
-        ends = (1 << u) | (1 << v)
-        full = bin_candidates(state.table, u, v, q)
-        assert cands == [c for c in full if not c[0] & ~(ends | st)]
-        dropped += len(full) - len(cands)
+    for _pool, u, v, q, records, _tangent in feeders:
+        full = full_records(u, v, q, None)
+        assert records == [rec for rec in full if not rec[1] & ~st]
+        dropped += len(full) - len(records)
     assert dropped > 0
-    assert any(c[0] & ~((1 << u) | (1 << v)) for _p, u, v, _q, cands, _t in feeders for c in cands)
+    assert any(rec[1] for _p, _u, _v, _q, records, _t in feeders for rec in records)
     assert got.value != 0
+
+    # the last step's own sections, of order p - 1: at most two vertices
+    # off the edge, and on a model edge a record with no derivative lies
+    # in {s, t} off the edge; records only the tangent table holds (value
+    # 0j) carry a derivative
+    dropped = {"model size": 0, "model sites": 0, "observable size": 0}
+    for _pool, u, v, q, records, tangent in sections:
+        if q != p - 1:
+            continue
+        model_edge = (u, v) != (s, t)
+        kind = "model" if model_edge else "observable"
+        full = full_records(u, v, q, tangent)
+        want = [
+            rec for rec in full
+            if rec[1].bit_count() <= 2 and not (model_edge and rec[4] is None and rec[1] & ~st)
+        ]
+        assert [rec for rec in records if rec[3] != 0] == want
+        assert all(rec[1].bit_count() <= 2 and rec[4] is not None
+                   for rec in records if rec[3] == 0)
+        for rec in full:
+            if rec[1].bit_count() > 2:
+                dropped[kind + " size"] += 1
+            elif model_edge and rec[4] is None and rec[1] & ~st:
+                dropped["model sites"] += 1
+    assert all(dropped.values())

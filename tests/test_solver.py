@@ -15,7 +15,8 @@ from ktspin.clusters import AdjacencyGraph, connected_size
 from ktspin.energy import series_from_state
 from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import bin_candidates, dump_coefficients, members_of, one_norm, table_lookup
-from ktspin.solver import SolverState, _edge_pool, _edge_records, advance_order, tangent_pass
+from ktspin.kernel import CODE
+from ktspin.solver import SolverState, _edge_pool, advance_order, tangent_pass
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -195,17 +196,23 @@ def test_advance_after_a_dump_continues_the_solve(rng):
 
 
 def test_an_edge_pool_holds_its_bin_candidates_order_by_order(rng):
-    # the pool advance_order builds in one pass: section q holds the
-    # records of bin_candidates(q), in that order, and ends where ends[q] says
+    # the pool advance_order builds in one pass: section q holds one
+    # (order, outside part, code of the edge bits, value) record per
+    # bin_candidates(q) pair, in that order, and ends where ends[q] says
     m = random_model(rng, topology_pairs("ring", 7), 7)
     p = 4
     table = solve(m, p).table
     for e in m.edges:
+        bu, bv = 1 << e.u, 1 << e.v
         pool, ends = _edge_pool(table, e.u, e.v, p)
         assert ends[0] == 0 and ends[p] == len(pool)
         for q in range(1, p + 1):
-            want = _edge_records(bin_candidates(table, e.u, e.v, q), e.u, e.v, q)
-            assert pool[ends[q - 1]:ends[q]] == want
+            want = [
+                (q, mask & ~(bu | bv), CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)],
+                 value)
+                for mask, value in bin_candidates(table, e.u, e.v, q)
+            ]
+            assert want and pool[ends[q - 1]:ends[q]] == want
 
 
 def test_excitation_energy_is_the_left_to_right_sum(rng):
