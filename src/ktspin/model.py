@@ -173,9 +173,9 @@ class SpinModel:
     - ``d``: the largest number of incident edges, counted with multiplicity;
     - ``hermitian``: whether every edge operator is Hermitian.
 
-    The model also holds ``response.correlator``'s last light-cone value
-    solve, one entry that the next query on the same sites and order
-    reuses; it is no part of the model's value.
+    The model also holds ``response.correlator``'s last light-cone entry
+    (its value solve and site values), one entry that the next query on
+    the same sites and order reuses; it is no part of the model's value.
 
     Raises NonPositiveGap, ParseError (non-finite field), DanglingVertexId
     or SelfLoop on bad input.
@@ -253,10 +253,18 @@ def _json_int(value):
     return value
 
 
+def _json_number(value):
+    """A JSON number (an int or a float) as is; a bool or string raises TypeError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def model_from_dict(data):
     """Build a validated SpinModel from the JSON document structure.
 
-    Vertex ids and edge endpoints must be JSON integers.
+    Vertex ids and edge endpoints must be JSON integers, and each
+    vertex's ``delta`` and each part of a matrix cell a JSON number.
     """
     try:
         raw_vertices = data["vertices"]
@@ -268,7 +276,7 @@ def model_from_dict(data):
     vertices = []
     for rv in raw_vertices:
         try:
-            vertices.append(Vertex(id=_json_int(rv["id"]), delta=float(rv["delta"])))
+            vertices.append(Vertex(id=_json_int(rv["id"]), delta=float(_json_number(rv["delta"]))))
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"bad vertex entry {rv!r}") from None
     edges = []
@@ -287,7 +295,8 @@ def model_from_dict(data):
         else:
             mat = re_["matrix"]
             try:
-                arr = [[complex(cell[0], cell[1]) for cell in row] for row in mat]
+                arr = [[complex(_json_number(cell[0]), _json_number(cell[1])) for cell in row]
+                       for row in mat]
             except (TypeError, IndexError, ValueError):
                 raise ParseError(f"edge ({u}, {v}) matrix must be 4x4 of [re, im] pairs") from None
             op = TwoQubitOperator(arr)

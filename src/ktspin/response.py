@@ -14,12 +14,17 @@ from two tables:
   through the observable edge, in the solver's pool and visit order.
 
 E_{q+1} reads order q only on sets of at most two vertices, so the
-last order p keeps only those, and its only values that are read (the
-observable edge's vacuum row at {s}, {t} and {s, t}) come from the
-same pass.  Each response coefficient is then the derivative channel of
-``energy.energy_terms``, summed term by term in the energy's order:
-the product rule ``a.val*b.der + a.der*b.val`` of ``solver.times``,
-and a coefficient that is exactly zero in both channels skipped.
+last order p keeps only those.  Its only values that are read (the
+observable edge's vacuum row at {s}, {t} and {s, t}) are the plain
+order-p values of those three sets, which do not depend on the
+observable: ``solver.site_values`` computes them bit for bit as the
+solve would store them.  Each response coefficient is then the
+derivative channel of ``energy.energy_terms``, summed term by term in
+the energy's order: the product rule ``a.val*b.der + a.der*b.val`` of
+``solver.times``, and a coefficient that is exactly zero in both
+channels skipped.  Only the observable and the model edges with a
+derivative on {u}, {v} or {u, v} get an energy row, since no other row
+yields a derivative term.
 
 Correlators are local.  ``coefficients[q]`` is dE_{q+1}/dlam, and
 q <= p.  Each term of E_{q+1} that carries the observable edge is a
@@ -46,16 +51,19 @@ model reuses the rest:
   So does the observable: a query whose observable needs no rescaling
   walks the query's own operator, and its kernels serve the next query
   that holds it;
-- the model holds its last light-cone value solve, keyed by (s, t, p,
-  restrict), and the next query with the same key reuses it.  It is
-  one entry, dropped before another solve starts.
+- the model holds its last light-cone entry, keyed by (s, t, p,
+  restrict): the renumbered sites, the order-(p-1) value solve and the
+  sites' order-p values (``solver.site_values``), and the next query
+  with the same key reuses all three.  It is one entry, dropped before
+  another solve starts.
 
 Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
-order, and patterns name no vertex.  ``tangent_pass`` only reads the
-state's tables and bins; the caches it fills are pure functions of
-the model and the operators, so a reused state is the state a new
-solve would build.
+order, and patterns name no vertex.  ``tangent_pass`` and
+``site_values`` only read the state's tables and bins; the caches they
+fill are pure functions of the model and the operators, so a reused
+state, and the site values held with it, are what a new solve would
+build.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from .errors import (
 )
 from .energy import energy_terms, vacuum_rows
 from .model import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
-from .solver import solve, tangent_pass
+from .solver import site_values, solve, tangent_pass
 
 REGIME_CERTIFIED = "lemma9"
 REGIME_NONE = "none"
@@ -158,12 +166,13 @@ def restrict_neighborhood(model, s, t, order):
 
 
 def _light_cone_solve(model, s, t, p, restrict):
-    """(s, t renumbered, order-(p-1) value solve) of the light cone of a query.
+    """(s, t renumbered, order-(p-1) value solve, site values) of a query's light cone.
 
-    The model holds the last one, and a query with the same sites, order
-    and ``restrict`` reuses it.  Any other query drops it before it
-    restricts and solves, so at most one such state is alive, and then
-    holds its own.
+    The site values are ``solver.site_values`` of the renumbered sites at
+    order p.  The model holds the last entry, and a query with the same
+    sites, order and ``restrict`` reuses it.  Any other query drops it
+    before it restricts and solves, so at most one such state is alive,
+    and then holds its own.
     """
     key = (s, t, p, restrict)
     held = model._light_cone
@@ -178,19 +187,30 @@ def _light_cone_solve(model, s, t, p, restrict):
     else:
         sub = model
     state = solve(sub, max(p - 1, 1))
-    object.__setattr__(model, "_light_cone", (key, s, t, state))
-    return s, t, state
+    values = site_values(state, s, t, p)
+    object.__setattr__(model, "_light_cone", (key, s, t, state, values))
+    return s, t, state, values
 
 
-def _response_coefficients(state, edge, p):
-    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable ``edge``."""
-    tangents, last_values = tangent_pass(state, edge, p)
+def _response_coefficients(state, edge, p, last_values):
+    """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable ``edge``.
+
+    ``last_values`` holds the order-p values of {s}, {t} and {s, t}
+    (``solver.site_values``).  A model edge with no derivative on {u},
+    {v} or {u, v} at any order yields no derivative term, so it gets no
+    energy row.
+    """
+    tangents = tangent_pass(state, edge, p)
     values = [state.table.orders.get(q, {}) for q in range(p)] + [last_values]
 
     def lookup(q, mask):
         return values[q].get(mask, 0), tangents[q].get(mask)
 
-    rows = vacuum_rows(state.model.edges)
+    small = {mask for tq in tangents.values() for mask in tq if mask.bit_count() <= 2}
+    rows = vacuum_rows(
+        e for e in state.model.edges
+        if not small.isdisjoint((1 << e.u, 1 << e.v, (1 << e.u) | (1 << e.v)))
+    )
     rows.append((edge.u, edge.v,
                  [(0j, cell if cell != 0 else None) for cell in edge.op.rows[0]]))
     out = []
@@ -238,8 +258,8 @@ def correlator(model, query, restrict=True):
     if p == 0:
         ders = [run_op.rows[0][0]]
     else:
-        rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
-        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p)
+        rs, rt, state, values = _light_cone_solve(model, s, t, p, restrict)
+        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p, values)
 
     value = 0j
     power = 1.0
@@ -252,7 +272,7 @@ def correlator(model, query, restrict=True):
 
     if math.isfinite(abs(value)) and (d == 0 or abs(eps) <= model.eps0_star / (2 * d)):
         regime = REGIME_CERTIFIED
-        bound = 2.0 ** (-16 - p) * j_max * d * (d + 1) * scale
+        bound = correlator_bound(p, j_max, d) * scale
     else:
         regime = REGIME_NONE
         bound = None
@@ -261,11 +281,16 @@ def correlator(model, query, restrict=True):
     )
 
 
+def correlator_bound(p, j_max, d):
+    """Rigorous truncation bound 2^(-16-p) J d (d+1) of an order-p correlator in its regime."""
+    return 2.0 ** (-16 - p) * j_max * d * (d + 1)
+
+
 def choose_correlator_order(precision, j_max, d):
     """Smallest order whose certified bound meets the requested precision."""
     if not (precision > 0):
         raise NonPositivePrecision(f"precision must be positive, got {precision}")
     p = 0
-    while 2.0 ** (-16 - p) * j_max * d * (d + 1) > precision:
+    while correlator_bound(p, j_max, d) > precision:
         p += 1
     return p

@@ -54,12 +54,17 @@ are summed again for each set, never cached.
 
 ``tangent_pass`` differentiates a solved table along one extra edge
 term (forward mode with sparsity): the observable is one more
-``EdgeTerm`` after the model's.  Each edge's pool holds the solve's
-records, each with its set's derivative, in the same sections, and one
-walk shaped like the solve's visits them in the same order on (value,
-derivative) pairs, only through tuples that carry a derivative or feed
-the last order's values.  It shares the solve's vacuum column, kernel
-slots and division by excitation energies.
+``EdgeTerm`` after the model's.  It returns derivative tables only.
+Each edge's pool holds the solve's records, each with its set's
+derivative, in the same sections, and one walk shaped like the solve's
+visits them in the same order on (value, derivative) pairs, only
+through tuples that hold a derivative or act through the observable
+edge, so only that edge and the model edges that meet a derivative set
+are walked.  It shares the solve's vacuum column, kernel slots and
+division by excitation energies.  The plain values the correlator
+reads at the top order, of {s}, {t} and {s, t}, come from
+``site_values``: the solve's own per-edge walk (``_walk_edge``) over
+only the stored sets that can reach them.
 """
 
 from __future__ import annotations
@@ -248,37 +253,28 @@ def _edge_pool(table, u, v, budget):
     return pool, ends
 
 
-def advance_order(state):
-    """Extend the table by one order from the already stored ones.
+def _walk_edge(edge, pool, ends, budget, acc):
+    """Add the edge's tuples of total order ``budget``, drawn from ``pool``, to ``acc``.
 
-    A state with no order gets order 1, the vacuum column of each edge
-    term (``_vacuum_column``).  Otherwise, with budget b (the newest
-    stored order), each edge of ``model.edges`` builds its pool of
-    orders 1..b from the bins (``_edge_pool``), walks it and frees it.
-    Bins only grow once an order is installed, so the pool is the same
-    whichever advance builds it.
-
-    A partial tuple with budget r left extends itself by the records of
+    ``pool`` and ``ends`` are records and section ends as ``_edge_pool``
+    builds them, or any subsequence of them that keeps its order.  A
+    partial tuple with budget r left extends itself by the records of
     orders below r, then closes with those of order r: each is one
     section-bounded loop, so no record of a higher order is visited.  A
     leaf reads its kernel from the slot of its multiset code on the
     edge's operator, filled on first use by ``kernel.edge_kernel``; the
-    edge maps that kernel's edge-bit patterns onto its own bitmasks once
-    per code, and frees the map with the pool.  Each nonzero contribution
-    is added to its target's numerator in visit order, the first one onto
-    complex(-0.0, -0.0), which stores it with its own bits (see the
-    module docstring).
+    walk maps that kernel's edge-bit patterns onto the edge's bitmasks
+    once per code.  Each nonzero contribution is added to its target's
+    numerator in visit order, the first one onto complex(-0.0, -0.0),
+    which stores it with its own bits (see the module docstring).
     """
-    budget = state.current_order
-    edges = state.model.edges
-    if budget == 0:
-        _freeze_order(state, _vacuum_column(edges), 1)
-        return state
-    table = state.table
-    acc = {}
     acc_get = acc.get
     # the exact additive identity: -0.0 + x is x, bit for bit, +0.0 and -0.0 included
     zero = complex(-0.0, -0.0)
+    u, v, op = edge.u, edge.v, edge.op
+    kernels = op._kernels
+    bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
+    target_masks = [None] * NCODES
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
         low = ends[remaining - 1]
@@ -319,20 +315,88 @@ def advance_order(state):
                 if c:
                     acc[target] = acc_get(target, zero) + c
 
-    for e in edges:
-        u, v = e.u, e.v
-        pool, ends = _edge_pool(table, u, v, budget)
-        if not pool:
-            continue
-        op = e.op
-        kernels = op._kernels
-        bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
-        target_masks = [None] * NCODES
-        grow(0, budget, 0, 0, 1.0, 1, -1, 0)
-    # grow refers to itself; dropping it frees acc and the last pool on return
+    grow(0, budget, 0, 0, 1.0, 1, -1, 0)
+    # grow refers to itself; dropping it frees the pool's map of targets on return
     grow = None
+
+
+def advance_order(state):
+    """Extend the table by one order from the already stored ones.
+
+    A state with no order gets order 1, the vacuum column of each edge
+    term (``_vacuum_column``).  Otherwise, with budget b (the newest
+    stored order), each edge of ``model.edges`` builds its pool of
+    orders 1..b from the bins (``_edge_pool``), walks it
+    (``_walk_edge``) and frees it.  Bins only grow once an order is
+    installed, so the pool is the same whichever advance builds it.
+    """
+    budget = state.current_order
+    edges = state.model.edges
+    if budget == 0:
+        _freeze_order(state, _vacuum_column(edges), 1)
+        return state
+    table = state.table
+    acc = {}
+    for e in edges:
+        pool, ends = _edge_pool(table, e.u, e.v, budget)
+        if pool:
+            _walk_edge(e, pool, ends, budget, acc)
     _freeze_order(state, acc, budget + 1)
     return state
+
+
+def site_values(state, s, t, order):
+    """The plain order-``order`` values of {s}, {t} and {s, t}, keyed by bitmask.
+
+    Each is the value ``advance_order`` would store (at threshold 0),
+    bit for bit, and an exact zero is left out.  ``state`` must hold
+    orders up to order - 1.  Order 1 is the vacuum column of the edges
+    on s or t.  Above it, every edge that ``_value_feeders`` admits runs
+    ``_walk_edge`` on a pool of only the stored sets that meet the edge
+    and lie within it plus {s, t}, in the bins' order (each order's
+    rank index gives its map order): a tuple that reaches a target
+    within {s, t} has every item there, so these pools visit its tuples
+    in the solve's order, and the edges come in the model's order.
+    """
+    st = (1 << s) | (1 << t)
+    edges = state.model.edges
+    if order == 1:
+        acc = _vacuum_column([e for e in edges if ((1 << e.u) | (1 << e.v)) & st])
+    else:
+        budget = order - 1
+        if state.current_order < budget:
+            raise ValueError(f"state holds orders up to {state.current_order}, "
+                             f"site values of order {order} need {budget}")
+        table = state.table
+        orders = [table.orders.get(q, {}) for q in range(budget + 1)]
+        ranks = [{mask: i for i, mask in enumerate(omap)} for omap in orders]
+        singles, pairs = _value_feeders(table, s, t, order)
+        both, first, second = CODE[3], CODE[2], CODE[1]
+        acc = {}
+        for e in edges:
+            bu, bv = 1 << e.u, 1 << e.v
+            uv = bu | bv
+            if not (uv & singles or uv in pairs):
+                continue
+            within = uv | st
+            subsets = []
+            sub = within
+            while sub:
+                if sub & uv:
+                    subsets.append(sub)
+                sub = (sub - 1) & within
+            pool = []
+            ends = [0]
+            for q in range(1, budget + 1):
+                omap, rank = orders[q], ranks[q]
+                found = [mask for mask in subsets if mask in omap]
+                found.sort(key=lambda mask: (not mask & bu, rank[mask]))
+                pool += [(q, mask & ~uv, (both if mask & bv else first) if mask & bu else second,
+                          omap[mask]) for mask in found]
+                ends.append(len(pool))
+            if pool:
+                _walk_edge(e, pool, ends, budget, acc)
+    return _divide(state, {mask: value for mask, value in acc.items() if not mask & ~st})
 
 
 def times(av, ad, bv, bd):
@@ -368,40 +432,45 @@ class _TangentPool:
         self.ends = [0]
         self.hot = [[]]
 
-    def add_section(self, cands, u, v, order, tangent, extra, inside):
-        """Append one order's records from its (mask, value) candidates.
+    def add_section(self, cands, u, v, order, tangent, last):
+        """Append one order's records from its (mask, value) candidates, in their order.
 
-        ``tangent`` maps the order's masks to their derivatives, or is
-        None when no derivative set meets the edge; ``extra`` lists the
-        masks only the tangent table holds.  ``inside`` is None before
-        the last step.  At the last step a record is kept only if its
-        set has at most two vertices off the edge and, if it carries no
-        derivative, its outside part lies in the mask ``inside``.
+        ``tangent`` maps masks to their derivatives; a mask it lacks
+        carries none.  At the last step a record is kept only if its set
+        has at most two vertices off the edge.
         """
         bu, bv = 1 << u, 1 << v
         off = ~(bu | bv)
         both, first, second = CODE[3], CODE[2], CODE[1]
-        if tangent:
-            split = next((i for i, (mask, _value) in enumerate(cands) if not mask & bu),
-                         len(cands))
-            cands = (cands[:split] + [(m, 0j) for m in extra if m & bu] + cands[split:]
-                     + [(m, 0j) for m in extra if m & bv and not m & bu])
-        else:
-            tangent = {}
         records = self.records
         hot = []
         for mask, value in cands:
             outside = mask & off
-            der = tangent.get(mask)
-            if inside is not None and (outside.bit_count() > 2
-                                       or der is None and outside & ~inside):
+            if last and outside.bit_count() > 2:
                 continue
+            der = tangent.get(mask)
             if der is not None:
                 hot.append(len(records))
             code = (both if mask & bv else first) if mask & bu else second
             records.append((order, outside, code, value, der))
         self.hot.append(hot)
         self.ends.append(len(records))
+
+
+def _bin_section(table, u, v, order, tangent, extra):
+    """The edge (u, v)'s order-``order`` (mask, value) candidates for a tangent pool.
+
+    ``bin_candidates``'s pairs, with the masks of ``extra`` (the sets
+    only the tangent table holds, value 0j) after the sets of their bin
+    when ``tangent`` has any derivative on the edge.
+    """
+    cands = bin_candidates(table, u, v, order)
+    if not tangent:
+        return cands
+    bu, bv = 1 << u, 1 << v
+    split = next((i for i, (mask, _value) in enumerate(cands) if not mask & bu), len(cands))
+    return (cands[:split] + [(m, 0j) for m in extra if m & bu] + cands[split:]
+            + [(m, 0j) for m in extra if m & bv and not m & bu])
 
 
 def tangent_pass(state, edge, order):
@@ -411,53 +480,49 @@ def tangent_pass(state, edge, order):
     and the pass walks it as one more edge after ``model.edges``: the
     returned ``tangents[q]`` maps vertex bitmasks to the derivative, at
     zero strength, of the order-q coefficient, for q = 1..order, nonzero
-    entries only.  ``state`` must hold the plain tables up to order - 1
-    (order 1 when order is 1).  The pass only reads its tables and bins
-    (building the bins of an order not yet indexed, as any reader does).
-    The only caches it fills are the kernel slots of every operator it
-    walks, the observable's included, pure functions of the operators.
-    So one state serves any number of passes with the same results, and
-    ``response.correlator`` reuses it across queries on the same sites
-    and order, and an observable operator keeps its kernels from one
-    query to the next.
+    entries only; the plain values the next energy coefficient reads at
+    order ``order`` come from ``site_values``.  ``state`` must hold the
+    plain tables up to order - 1.  The pass only reads its tables and
+    bins (building the bins of an order not yet indexed, as any reader
+    does).  The only caches it fills are the kernel slots of every
+    operator it walks, the observable's included, pure functions of the
+    operators.  So one state serves any number of passes with the same
+    results, and ``response.correlator`` reuses it across queries on the
+    same sites and order, and an observable operator keeps its kernels
+    from one query to the next.
 
     Only tuples that hold a derivative-carrying item, or that act through
     the observable edge, are enumerated, in the pool and visit order of
-    ``advance_order``, with first-order (dual-number) arithmetic.  The
-    first tangent is the observable's vacuum column (``_vacuum_column``),
-    and every order is divided as ``advance_order`` divides (``_divide``).
-    The last order keeps only sets of at most two vertices, and alongside
-    it the pass sums, from the model edges' tuples whose outside part
-    lies in {s, t}, the plain order-``order`` values of {s}, {t} and
-    {s, t}: with the lower tables, that is all the next energy
-    coefficient reads.  So the sections an edge builds at the last step
-    keep only the records that step can use (``add_section``'s rule),
-    and only the edges the pass touches build any records.
-    Returns (tangents, values), ``values`` keyed by bitmask.
+    ``advance_order``, with first-order (dual-number) arithmetic, so only
+    the observable edge and the model edges that meet a derivative set
+    are walked.  The first tangent is the observable's vacuum column
+    (``_vacuum_column``), and every order is divided as
+    ``advance_order`` divides (``_divide``).  The last order keeps only
+    sets of at most two vertices: with the lower tables and the site
+    values, that is all the next energy coefficient reads.  So the
+    sections an edge builds at the last step keep only records with at
+    most two vertices off the edge.  A lone top-order record with no
+    derivative carries nothing on a model edge, so there the last
+    step's top-order section holds only the derivative sets that meet
+    the edge, in map order, the derivative-only ones after them, as
+    that edge's bins would place them.
 
     A set whose value is exactly zero but whose derivative is not goes
     after the value table's sets in each bin, not where its first
     contribution arrived, so with such sets the last bits of a sum can
     differ from a dual-number solve with the observable edge added.
     """
-    s, t = edge.u, edge.v
-    st = (1 << s) | (1 << t)
     table = state.table
     top = state.current_order
-    if top < max(order - 1, 1):
+    if top < order - 1:
         raise ValueError(f"state holds orders up to {top}, the pass needs {order - 1}")
     tangents = {1: _divide(state, _vacuum_column((edge,)))}
-    if order == 1:
-        omap = table.orders.get(1, {})
-        return tangents, {mask: omap[mask] for mask in (1 << t, 1 << s, st) if mask in omap}
-
     edges = state.model.edges + (edge,)
     obs_idx = len(edges) - 1
     tpools = {}
     touched = [0]   # touched[q]: vertices of the order-q derivative sets
     extras = [[]]   # extras[q]: masks only the tangent table holds
     hit = 0         # vertices of every derivative set so far
-    vacc = {}       # the last step's value numerators
     for k in range(2, order + 1):
         budget = k - 1
         tan = tangents[budget]
@@ -470,32 +535,38 @@ def tangent_pass(state, edge, order):
         hit |= seen
         last = k == order
         if last:
-            singles, pairs = _value_feeders(table, s, t, k)
+            # the top order's derivative sets a last-step section can hold,
+            # binned by vertex: stored ones in map order, then the others
+            rank = {mask: i for i, mask in enumerate(omap)}
+            size = len(rank)
+            top_bins = {}
+            for _key, mask in sorted((rank.get(m, size + i), m) for i, m in enumerate(tan)
+                                     if m.bit_count() <= 4):
+                cand = (mask, omap.get(mask, 0j))
+                for w in members_of(mask):
+                    top_bins.setdefault(w, []).append(cand)
         acc = {}
         for idx, e in enumerate(edges):
             u, v = e.u, e.v
             uv = (1 << u) | (1 << v)
             obs = idx == obs_idx
-            if not obs and not uv & hit and not (
-                last and (uv & singles or uv in pairs)
-            ):
+            if not obs and not uv & hit:
                 continue
             tp = tpools.get(idx)
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
             for q in range(len(tp.ends), k):
-                inside = None
-                if last:
-                    # on a model edge, a record with no derivative feeds
-                    # only the values, so lies in {s, t} off the edge, when
-                    # it is a whole tuple or the edge meets no derivative
-                    # set; ~0 admits every vertex
-                    inside = st if not obs and (q == budget or not uv & hit) else ~0
-                tp.add_section(bin_candidates(table, u, v, q), u, v, q,
-                               tangents[q] if uv & touched[q] else None, extras[q], inside)
-            _tangent_edge(e, tp, budget, obs, last, st, acc, vacc)
+                if last and q == budget and not obs:
+                    bu = 1 << u
+                    tangent = tan
+                    cands = top_bins.get(u, []) + [c for c in top_bins.get(v, ()) if not c[0] & bu]
+                else:
+                    tangent = tangents[q] if uv & touched[q] else None
+                    cands = _bin_section(table, u, v, q, tangent, extras[q])
+                tp.add_section(cands, u, v, q, tangent or {}, last)
+            _tangent_edge(e, tp, budget, obs, last, acc)
         tangents[k] = _divide(state, acc)
-    return tangents, _divide(state, vacc)
+    return tangents
 
 
 def _value_feeders(table, s, t, below):
@@ -521,27 +592,21 @@ def _value_feeders(table, s, t, below):
     return singles, pairs
 
 
-def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
+def _tangent_edge(edge, tp, budget, obs, last, acc):
     """Add one edge's tangent tuples of total order ``budget`` to ``acc``.
 
-    ``walk`` is ``advance_order``'s walk on (value, derivative) pairs.  A
+    ``walk`` is ``_walk_edge``'s walk on (value, derivative) pairs.  A
     prefix carries when it is on the observable edge, whose kernel
     carries the derivative, or holds a derivative.  One that does not
     extends only where a record of ``hot`` can still follow, and closes
-    from ``hot``: the records that carry a derivative and, at the last
-    order, the value-only ones whose outside part lies in {s, t}.
+    from ``hot``, the records that carry a derivative.
     """
     records = tp.records
     ends = tp.ends
     u, v, op = edge.u, edge.v, edge.op
     kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
-    notst = ~st
     hot = tp.hot
-    if last:
-        hot = [[]] + [sorted(h + [i for i in range(lo, hi)
-                                  if records[i][4] is None and not records[i][1] & notst])
-                      for h, lo, hi in zip(hot[1:], ends, ends[1:])]
     hot_max = [-1]
     for q in range(1, budget + 1):
         hot_max.append(max(hot_max[-1], hot[q][-1] if hot[q] else -1))
@@ -563,13 +628,9 @@ def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
                 # the observable edge's entries are (0j, entry) pairs
                 dc = times(wv, wd, 0j, me)[1]
             else:
-                dc = None if wd is None else wd * me
-                if last and not target & notst:
-                    vc = wv * me
-                    if vc != 0:
-                        prev = vacc.get(target)
-                        vacc[target] = vc if prev is None else prev + vc
-            if dc is not None and dc != 0 and not (last and target.bit_count() > 2):
+                # a model edge's leaf always carries a derivative
+                dc = wd * me
+            if dc != 0 and not (last and target.bit_count() > 2):
                 prev = acc.get(target)
                 acc[target] = dc if prev is None else prev + dc
 
@@ -612,8 +673,6 @@ def _tangent_edge(edge, tp, budget, obs, last, st, acc, vacc):
                 continue
             outside2 = outside | mask
             if last and outside2.bit_count() > 2:
-                continue
-            if der is None and not carries and outside2 & notst:
                 continue
             cv2, cd2 = times(cv, cd, value, der)
             emit(outside2, code2, cv2, cd2, denom * (run + 1) if i == last_i else denom)

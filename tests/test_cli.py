@@ -369,8 +369,18 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
     doc["vertices"][0]["delta"] = 0.0
     gapless.write_text(json.dumps(doc))
     assert main(["info", str(gapless), "--json"]) == 2
-    for key, value in (("edges", [{"u": 0, "v": 1, "pauli": 5}]), ("vertices", 5)):
-        broken = tmp_path / f"broken-{key}.json"
+    matrix = [[[0.0, 0.0]] * 4] * 4
+    cases = (
+        ("edges", [{"u": 0, "v": 1, "pauli": 5}]),
+        ("vertices", 5),
+        # a field or a matrix part that is a string or a bool, not a JSON number
+        ("vertices", [{"id": 0, "delta": "2"}, {"id": 1, "delta": 1.0}]),
+        ("vertices", [{"id": 0, "delta": 1.0}, {"id": 1, "delta": True}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[True, 0.0]] + matrix[0][1:]] + matrix[1:]}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[0.0, "0.5"]] + matrix[0][1:]] + matrix[1:]}]),
+    )
+    for i, (key, value) in enumerate(cases):
+        broken = tmp_path / f"broken-{i}.json"
         doc = model_to_dict(tf_edge_model())
         doc[key] = value
         broken.write_text(json.dumps(doc))

@@ -27,7 +27,7 @@ from ktspin import (
 )
 from ktspin.cli import main
 from ktspin.model import parse_pauli_expression
-from ktspin.solver import tangent_pass
+from ktspin.solver import advance_order, site_values, tangent_pass
 from conftest import grid_pairs
 
 # sha256 of the bytes named in each test, from the build these outputs were
@@ -196,7 +196,7 @@ def test_tangent_table_bits():
     for p in (3, 4, 5):
         state = solve(model, p - 1)
         for (s, t), op in zip(sites, ops):
-            tangents, values = tangent_pass(state, EdgeTerm(s, t, op), p)
+            tangents = tangent_pass(state, EdgeTerm(s, t, op), p)
             for q in sorted(tangents):
                 for mask, value in tangents[q].items():
                     value = complex(value)
@@ -205,12 +205,47 @@ def test_tangent_table_bits():
                     orders = state.table.orders.get(q, {})
                     derivative_only += sum(mask not in orders for mask in tangents[q])
             # the last order's values of {s}, {t} and {s, t}, after its tangents
-            for mask, value in values.items():
+            for mask, value in site_values(state, s, t, p).items():
                 value = complex(value)
                 data += struct.pack("<iQdd", p + 1, mask, value.real, value.imag)
     # sets whose value is exactly zero but whose derivative is not (737 of them)
     assert derivative_only > 500
     assert _digest(bytes(data)) == TANGENT_TABLES
+
+
+def test_site_values_are_the_solve_bits():
+    # site_values walks only the edges and the records that can reach {s},
+    # {t} and {s, t}; each value must carry every bit of the value the full
+    # solve stores, from a state that holds only the orders below it
+    cases = [
+        (hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212), [(2, 3), (2, 7)]),
+        (hermitian_doc(grid_pairs(3, 3), 9, 902), [(1, 4), (0, 8)]),
+        (degree3_doc(1616), [(0, 1), (3, 11)]),
+    ]
+    compared = pairs = 0
+    for doc, sites in cases:
+        model = model_from_dict(doc)
+        state = solve(model, 1)
+        got = {}
+        for p in range(1, 6):
+            while state.current_order < p - 1:
+                advance_order(state)
+            for s, t in sites:
+                got[s, t, p] = site_values(state, s, t, p)
+        advance_order(state)
+        for (s, t, p), values in got.items():
+            stored = state.table.orders[p]
+            masks = [m for m in (1 << t, 1 << s, (1 << s) | (1 << t)) if m in stored]
+            assert sorted(values) == sorted(masks)
+            for mask in masks:
+                want, have = complex(stored[mask]), complex(values[mask])
+                assert struct.pack("<dd", have.real, have.imag) == struct.pack(
+                    "<dd", want.real, want.imag)
+            compared += len(masks)
+            pairs += (1 << s) | (1 << t) in values
+    # 81 of the 90 masks are stored, 21 of them pairs: the distant sites'
+    # pair first appears at order 4 (grid) or 5 (ring)
+    assert (compared, pairs) == (81, 21)
 
 
 def test_correlator_coefficient_bytes(tmp_path):
@@ -235,7 +270,7 @@ def test_ring_correlator_with_derivative_only_sets_bytes():
     model = model_from_dict(hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212))
     state = solve(model, 4)
     zz = parse_pauli_expression("0.5 ZZ")
-    tangents, _values = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), 5)
+    tangents = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), 5)
     assert any(m not in state.table.orders[3] for m in tangents[3])
     # the converse, so that a key of another kind cannot pass the line above
     assert any(m in state.table.orders[3] for m in tangents[3])

@@ -227,6 +227,13 @@ def test_dict_requires_exactly_one_operator_form():
         ("edges", [{"u": 0.2, "v": 1.7, "pauli": "XX"}]),
         ("edges", [{"u": True, "v": 1, "pauli": "XX"}]),
         ("edges", [{"u": 0, "v": "1", "pauli": "XX"}]),
+        # fields and matrix parts are JSON numbers: a string or a bool is
+        # rejected, not read as another model's number
+        ("vertices", [{"id": 0, "delta": "2"}, {"id": 1, "delta": 1.0}]),
+        ("vertices", [{"id": 0, "delta": 1.0}, {"id": 1, "delta": True}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[True, 0.0]] * 4] * 4}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[0.5, False]] * 4] * 4}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[["0.5", 0.0]] * 4] * 4}]),
     ],
 )
 def test_dict_rejects_malformed_documents(key, value):
@@ -237,6 +244,18 @@ def test_dict_rejects_malformed_documents(key, value):
     doc[key] = value
     with pytest.raises(ParseError):
         model_from_dict(doc)
+
+
+def test_dict_accepts_json_numbers():
+    # ints and floats are both JSON numbers
+    m = model_from_dict(
+        {
+            "vertices": [{"id": 0, "delta": 2}, {"id": 1, "delta": 1.5}],
+            "edges": [{"u": 0, "v": 1, "matrix": [[[1, 0], [0, 0], [0, 0], [0.5, -1]]] * 4}],
+        }
+    )
+    assert m.deltas == (2.0, 1.5)
+    assert m.edges[0].op.entries[0, 3] == 0.5 - 1j
 
 
 def test_dict_accepts_pauli_edges():

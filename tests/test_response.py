@@ -28,7 +28,7 @@ from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
 from ktspin.setalg import bin_candidates
-from ktspin.solver import tangent_pass
+from ktspin.solver import site_values, tangent_pass
 from conftest import (
     grid_pairs,
     make_model,
@@ -207,7 +207,7 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
     # (sites, observable, order, restrict): only the second can reuse a solve
     sequence = [(a, zz, 4, True), (a, other, 4, True), (b, zz, 4, True),
                 (a, zz, 4, True), (a, zz, 3, True), (a, zz, 4, False)]
-    solves = []
+    solves, sites = [], []
 
     def spy(model, order, threshold=0.0):
         # the held state is dropped first, so two are never alive at once
@@ -215,13 +215,19 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
         solves.append(order)
         return solve(model, order, threshold)
 
+    def site_spy(state, s, t, order):
+        sites.append(order)
+        return site_values(state, s, t, order)
+
     monkeypatch.setattr(response, "solve", spy)
+    monkeypatch.setattr(response, "site_values", site_spy)
     calls, answers = [], []
     for (s, t), obs, p, restrict in sequence:
-        before = len(solves)
+        before = (len(solves), len(sites))
         answers.append(correlator(m, query(s, t, obs, eps, p), restrict=restrict))
-        calls.append(len(solves) - before)
-    assert calls == [1, 0, 1, 1, 1, 1]
+        calls.append((len(solves) - before[0], len(sites) - before[1]))
+    # the site values are held with the solve: the second query computes neither
+    assert calls == [(1, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1)]
     monkeypatch.undo()
     for ((s, t), obs, p, restrict), warm in zip(sequence, answers):
         cold = correlator(_cold_copy(m), query(s, t, obs, eps, p), restrict=restrict)
@@ -229,10 +235,11 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
         assert warm.coefficients == cold.coefficients
         assert (warm.bound, warm.regime) == (cold.bound, cold.regime)
     # one entry, for the last query
-    key, rs, rt, state = m._light_cone
+    key, rs, rt, state, values = m._light_cone
     assert key == (a[0], a[1], 4, False)
     assert (rs, rt) == a
     assert state.model is m and state.current_order == 3
+    assert values == site_values(state, rs, rt, 4)
 
 
 def test_correlator_restricts_to_its_light_cone(monkeypatch):
@@ -365,7 +372,7 @@ def test_derivative_only_sets_keep_the_slopes():
     zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     p = 5
     state = solve(m, p - 1)
-    tangents, _values = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), p)
+    tangents = tangent_pass(state, EdgeTerm(2, 7, TwoQubitOperator(zz)), p)
     derivative_only = [
         mask for q in range(1, p) for mask in tangents[q]
         if mask not in state.table.orders.get(q, {})
@@ -380,73 +387,72 @@ def test_derivative_only_sets_keep_the_slopes():
         assert abs(r.coefficients[q] - want) <= 1e-9 * max(1.0, scale)
 
 
-def test_value_feeding_edges_build_only_records_inside_the_sites(monkeypatch):
-    # an edge the last step walks only for the values of {s}, {t} and
-    # {s, t} (not the observable, no derivative set on it) reaches them
-    # only through items whose outside part lies in {s, t}
+def test_only_edges_that_meet_a_derivative_set_build_a_pool(monkeypatch):
+    # the pass walks the observable edge and the model edges that meet a
+    # derivative set; an edge that would only feed the values of {s}, {t}
+    # and {s, t} builds nothing, since those come from site_values
     rng = np.random.default_rng(5)
     m = random_model(rng, topology_pairs("ring", 12), 12)
     obs = random_hermitian_op(rng)
     sections = []
     add_section = solver._TangentPool.add_section
 
-    def spy(self, cands, u, v, order, tangent, extra, inside):
+    def spy(self, cands, u, v, order, tangent, last):
         before = len(self.records)
-        add_section(self, cands, u, v, order, tangent, extra, inside)
-        sections.append((id(self), u, v, order, self.records[before:], tangent))
+        add_section(self, cands, u, v, order, tangent, last)
+        sections.append((id(self), u, v, order, last, self.records[before:]))
 
     monkeypatch.setattr(solver._TangentPool, "add_section", spy)
     p = 4
-    got = correlator(m, query(2, 5, obs, 1e-3, p))
+    s, t = 2, 5
+    state = solve(m, p - 1)
+    tangents = tangent_pass(state, EdgeTerm(s, t, TwoQubitOperator(obs)), p)
     monkeypatch.undo()
-    _key, s, t, state = m._light_cone
-    st = (1 << s) | (1 << t)
-    # no model edge joins the sites, so the pool on (s, t) is the observable's
-    assert all({e.u, e.v} != {s, t} for e in state.model.edges)
+    hit = 0
+    for q in range(1, p):
+        for mask in tangents[q]:
+            hit |= mask
+    pooled = {}
+    for pool, u, v, _q, _last, _records in sections:
+        assert pooled.setdefault(pool, (u, v)) == (u, v)
+    walked = sorted(pooled.values())
+    want = sorted([(e.u, e.v) for e in m.edges if ((1 << e.u) | (1 << e.v)) & hit] + [(s, t)])
+    assert walked == want
+    # some edge meets no derivative set, yet can reach the sites' values
+    singles, pairs = solver._value_feeders(state.table, s, t, p)
+    idle = [e for e in m.edges if not ((1 << e.u) | (1 << e.v)) & hit]
+    assert any(((1 << e.u) | (1 << e.v)) & singles for e in idle)
 
-    def full_records(u, v, q, tangent):
+    def pool_order(u, v, q):
+        # the edge's order-q masks as its bins give them, with the sets only
+        # the tangent table holds after the sets of their bin
         bu, bv = 1 << u, 1 << v
-        return [
-            (q, mask & ~(bu | bv), CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)], value,
-             tangent.get(mask) if tangent else None)
-            for mask, value in bin_candidates(state.table, u, v, q)
-        ]
+        cands = [mask for mask, _value in bin_candidates(state.table, u, v, q)]
+        extra = [mask for mask in tangents[q] if mask not in state.table.orders[q]]
+        return ([mask for mask in cands if mask & bu] + [mask for mask in extra if mask & bu]
+                + [mask for mask in cands if not mask & bu]
+                + [mask for mask in extra if mask & bv and not mask & bu])
 
-    carries = {}
-    for pool, _u, _v, _q, _records, tangent in sections:
-        carries[pool] = carries.get(pool, False) or tangent is not None
-    feeders = [sec for sec in sections if not carries[sec[0]]]
-    assert len({sec[0] for sec in feeders}) >= 2
-    dropped = 0
-    for _pool, u, v, q, records, _tangent in feeders:
-        full = full_records(u, v, q, None)
-        assert records == [rec for rec in full if not rec[1] & ~st]
-        dropped += len(full) - len(records)
-    assert dropped > 0
-    assert any(rec[1] for _p, _u, _v, _q, records, _t in feeders for rec in records)
-    assert got.value != 0
+    def record(u, v, q, mask):
+        bu, bv = 1 << u, 1 << v
+        return (q, mask & ~(bu | bv), CODE[(2 if mask & bu else 0) | (1 if mask & bv else 0)],
+                state.table.orders[q].get(mask, 0j), tangents[q].get(mask))
 
-    # the last step's own sections, of order p - 1: at most two vertices
-    # off the edge, and on a model edge a record with no derivative lies
-    # in {s, t} off the edge; records only the tangent table holds (value
-    # 0j) carry a derivative
-    dropped = {"model size": 0, "model sites": 0, "observable size": 0}
-    for _pool, u, v, q, records, tangent in sections:
-        if q != p - 1:
+    # the last step's top sections keep no set with more than two vertices
+    # off the edge; on a model edge they hold only the records that carry a
+    # derivative, since a lone top-order record with none carries nothing,
+    # and on the observable edge every other record too
+    kept = {"model": 0, "observable": 0}
+    dropped = {"model": 0, "observable": 0}
+    for _pool, u, v, q, last, records in sections:
+        if not (last and q == p - 1):
             continue
-        model_edge = (u, v) != (s, t)
-        kind = "model" if model_edge else "observable"
-        full = full_records(u, v, q, tangent)
-        want = [
-            rec for rec in full
-            if rec[1].bit_count() <= 2 and not (model_edge and rec[4] is None and rec[1] & ~st)
-        ]
-        assert [rec for rec in records if rec[3] != 0] == want
-        assert all(rec[1].bit_count() <= 2 and rec[4] is not None
-                   for rec in records if rec[3] == 0)
-        for rec in full:
-            if rec[1].bit_count() > 2:
-                dropped[kind + " size"] += 1
-            elif model_edge and rec[4] is None and rec[1] & ~st:
-                dropped["model sites"] += 1
-    assert all(dropped.values())
+        kind = "observable" if (u, v) == (s, t) else "model"
+        small = [mask for mask in pool_order(u, v, q)
+                 if (mask & ~((1 << u) | (1 << v))).bit_count() <= 2]
+        if kind == "model":
+            small = [mask for mask in small if mask in tangents[q]]
+        assert records == [record(u, v, q, mask) for mask in small]
+        kept[kind] += len(records)
+        dropped[kind] += len(pool_order(u, v, q)) - len(records)
+    assert all(kept.values()) and all(dropped.values())

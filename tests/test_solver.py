@@ -285,7 +285,7 @@ def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
     obs = random_hermitian_op(rng)
     s, t, order = 3, 1, 4
     edge = EdgeTerm(s, t, TwoQubitOperator(obs))
-    tangents, values = tangent_pass(solve(m, order - 1), edge, order)
+    tangents = tangent_pass(solve(m, order - 1), edge, order)
     lams = [-1.0, -0.5, 0.5, 1.0, 1.5]
     tables = [solve(_with_edge(m, s, t, lam * obs), order).table for lam in lams]
     checked = 0
@@ -305,14 +305,10 @@ def test_tangent_pass_is_the_derivative_of_the_coefficients(rng):
             checked += got != 0
         assert all(mask in masks_seen for mask in tangents[q])
     assert checked > 20
-    # the last order's values at (s,), (t,), (s, t) are the plain solve's, bit for bit
-    plain = solve(m, order).table
-    for mask in (0b10, 0b1000, 0b1010):
-        assert values.get(mask, 0) == table_lookup(plain, order, mask)
     # a value state solved to any depth gives the same tables: its sections
     # come from the bins below its top order and from the leaf filter at it
     for depth in (order, order + 1, order + 2):
-        assert tangent_pass(solve(m, depth), edge, order) == (tangents, values)
+        assert tangent_pass(solve(m, depth), edge, order) == tangents
 
 
 def test_advance_order_resumes_incrementally(rng):
