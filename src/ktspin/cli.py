@@ -36,6 +36,7 @@ from .model import (
     TwoQubitOperator,
     Vertex,
     load_model,
+    matrix_from_json,
 )
 from .response import (
     REGIME_NONE,
@@ -93,8 +94,8 @@ def _load_observable(text):
             return TwoQubitOperator.from_pauli(doc["pauli"])
         doc = doc.get("matrix")
     try:
-        rows = [[complex(c[0], c[1]) for c in row] for row in doc]
-    except (KeyError, TypeError, IndexError, ValueError):
+        rows = matrix_from_json(doc)
+    except ValueError:
         raise ParseError(
             f"observable file {text} needs 'pauli' or a 4x4 'matrix' of [re, im] pairs"
         ) from None

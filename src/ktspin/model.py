@@ -260,11 +260,26 @@ def _json_number(value):
     return value
 
 
+def matrix_from_json(rows):
+    """Rows of [re, im] JSON number pairs as rows of complex numbers.
+
+    Each part goes through ``_json_number``; a part that is not a JSON
+    number, one too large for a double, or rows and cells of the wrong
+    kind raise ValueError.  The shape is left to ``TwoQubitOperator``.
+    """
+    try:
+        return [[complex(_json_number(cell[0]), _json_number(cell[1])) for cell in row]
+                for row in rows]
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError):
+        raise ValueError("expected rows of [re, im] number pairs") from None
+
+
 def model_from_dict(data):
     """Build a validated SpinModel from the JSON document structure.
 
     Vertex ids and edge endpoints must be JSON integers, and each
-    vertex's ``delta`` and each part of a matrix cell a JSON number.
+    vertex's ``delta`` and each part of a matrix cell a JSON number
+    that a double can hold; matrices are read by ``matrix_from_json``.
     """
     try:
         raw_vertices = data["vertices"]
@@ -277,7 +292,7 @@ def model_from_dict(data):
     for rv in raw_vertices:
         try:
             vertices.append(Vertex(id=_json_int(rv["id"]), delta=float(_json_number(rv["delta"]))))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError(f"bad vertex entry {rv!r}") from None
     edges = []
     for re_ in raw_edges:
@@ -293,11 +308,9 @@ def model_from_dict(data):
         if has_pauli:
             op = TwoQubitOperator.from_pauli(re_["pauli"])
         else:
-            mat = re_["matrix"]
             try:
-                arr = [[complex(_json_number(cell[0]), _json_number(cell[1])) for cell in row]
-                       for row in mat]
-            except (TypeError, IndexError, ValueError):
+                arr = matrix_from_json(re_["matrix"])
+            except ValueError:
                 raise ParseError(f"edge ({u}, {v}) matrix must be 4x4 of [re, im] pairs") from None
             op = TwoQubitOperator(arr)
         edges.append(EdgeTerm(u=u, v=v, op=op))

@@ -121,6 +121,9 @@ def bin_candidates(table, u, v, order):
 
     Sets containing u come first in their bin order, then sets containing v
     but not u; the result order is deterministic for a fixed insert history.
+    The solver reads the bins in this order directly; this function is
+    kept for the tests, which check its pools against it, and for the
+    benchmark's pool-record counters.
     """
     omap = table.orders.get(order)
     if not omap:

@@ -32,10 +32,12 @@ Entries dropped by a positive threshold are counted per order, with
 their one-norm, so a caller can tell that the table is no longer the
 exact series.
 
-Each edge walks a pool of candidate records: the stored sets that meet
-the edge, order by order, each order in the order of
-``setalg.bin_candidates``.  The pool is built in one pass straight from
-the table's bins when the edge's walk starts, together with the index
+Each edge (u, v) walks a pool of candidate records: the stored sets
+that meet the edge, order by order, each order as the table's bins hold
+it, u's bin and then v's bin without u.  Every pool in this module,
+the correlator's included, places its records in that order.  The pool
+is built in one pass straight from the table's bins when the edge's
+walk starts, together with the index
 where each order's section ends, and freed when the walk ends, so
 between advances a solve holds only its table.  Since the pool is
 sorted by order, a partial tuple with budget r left reads only the
@@ -56,15 +58,17 @@ are summed again for each set, never cached.
 term (forward mode with sparsity): the observable is one more
 ``EdgeTerm`` after the model's.  It returns derivative tables only.
 Each edge's pool holds the solve's records, each with its set's
-derivative, in the same sections, and one walk shaped like the solve's
-visits them in the same order on (value, derivative) pairs, only
-through tuples that hold a derivative or act through the observable
-edge, so only that edge and the model edges that meet a derivative set
-are walked.  It shares the solve's vacuum column, kernel slots and
-division by excitation energies.  The plain values the correlator
-reads at the top order, of {s}, {t} and {s, t}, come from
-``site_values``: the solve's own per-edge walk (``_walk_edge``) over
-only the stored sets that can reach them.
+derivative, in the same sections, built straight from the same bins,
+with the sets only the derivative tables hold after the stored sets of
+each bin part.  One walk shaped like the solve's visits them in the
+same order on (value, derivative) pairs, only through tuples that hold
+a derivative or act through the observable edge, so only that edge and
+the model edges that meet a derivative set are walked.  It shares the
+solve's vacuum column, kernel slots and division by excitation
+energies.  The plain values the correlator reads at the top order, of
+{s}, {t} and {s, t}, come from ``site_values``: the solve's own
+per-edge walk (``_walk_edge``) over only the stored sets that can reach
+them, placed by their bins.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from math import isfinite
 
 from .errors import InvalidThreshold
 from .kernel import CODE, NCODES, edge_kernel
-from .setalg import CoefficientTable, bin_candidates, install_order, members_of
+from .setalg import CoefficientTable, install_order, members_of
 
 _LIVE_MULTISETS = (
     (1,), (2,), (3,),
@@ -228,8 +232,8 @@ def _edge_pool(table, u, v, budget):
     """The edge (u, v)'s pool records of orders 1..budget, and each order's section end.
 
     A record is (order, outside bitmask, multiset code of its edge bits,
-    value), built in one pass straight from the bins, each order in
-    ``bin_candidates`` order.
+    value), built in one pass straight from the bins, each order as u's
+    bin and then v's bin without u.
     ``ends[q]`` is the index past the last record of order q, so
     ``ends[0]`` is 0 and order q's section is ``ends[q - 1]:ends[q]``.
     """
@@ -351,12 +355,14 @@ def site_values(state, s, t, order):
     Each is the value ``advance_order`` would store (at threshold 0),
     bit for bit, and an exact zero is left out.  ``state`` must hold
     orders up to order - 1.  Order 1 is the vacuum column of the edges
-    on s or t.  Above it, every edge that ``_value_feeders`` admits runs
-    ``_walk_edge`` on a pool of only the stored sets that meet the edge
-    and lie within it plus {s, t}, in the bins' order (each order's
-    rank index gives its map order): a tuple that reaches a target
-    within {s, t} has every item there, so these pools visit its tuples
-    in the solve's order, and the edges come in the model's order.
+    on s or t.  Above it, an edge's candidates are the stored sets that
+    meet it and lie within it plus {s, t}: a tuple that reaches a target
+    within {s, t} has every item there.  An edge is walked
+    (``_walk_edge``) only if it touches s or t or one of its candidates
+    has a vertex off it; any other edge adds only to targets off {s, t}.
+    Its candidates take their places in u's bin, then in v's, as in
+    ``_edge_pool``, so these pools visit the tuples in the solve's
+    order, and the edges come in the model's order.
     """
     st = (1 << s) | (1 << t)
     edges = state.model.edges
@@ -367,35 +373,38 @@ def site_values(state, s, t, order):
         if state.current_order < budget:
             raise ValueError(f"state holds orders up to {state.current_order}, "
                              f"site values of order {order} need {budget}")
-        table = state.table
-        orders = [table.orders.get(q, {}) for q in range(budget + 1)]
-        ranks = [{mask: i for i, mask in enumerate(omap)} for omap in orders]
-        singles, pairs = _value_feeders(table, s, t, order)
+        omaps = [state.table.orders.get(q, {}) for q in range(1, budget + 1)]
+        bins = state.table.bins
         both, first, second = CODE[3], CODE[2], CODE[1]
         acc = {}
         for e in edges:
             bu, bv = 1 << e.u, 1 << e.v
             uv = bu | bv
-            if not (uv & singles or uv in pairs):
-                continue
+            off = ~uv
             within = uv | st
-            subsets = []
+            usubs, vsubs = [], []
             sub = within
             while sub:
-                if sub & uv:
-                    subsets.append(sub)
+                if sub & bu:
+                    usubs.append(sub)
+                elif sub & bv:
+                    vsubs.append(sub)
                 sub = (sub - 1) & within
+            found = [([m for m in usubs if m in omap], [m for m in vsubs if m in omap])
+                     for omap in omaps]
+            if not (uv & st or any(m & off for fu, fv in found for m in fu + fv)):
+                continue
+            ubins, vbins = bins.get(e.u, {}), bins.get(e.v, {})
             pool = []
             ends = [0]
-            for q in range(1, budget + 1):
-                omap, rank = orders[q], ranks[q]
-                found = [mask for mask in subsets if mask in omap]
-                found.sort(key=lambda mask: (not mask & bu, rank[mask]))
-                pool += [(q, mask & ~uv, (both if mask & bv else first) if mask & bu else second,
-                          omap[mask]) for mask in found]
+            for q, (fu, fv) in enumerate(found, 1):
+                omap = omaps[q - 1]
+                fu.sort(key=ubins.get(q, ()).index)
+                fv.sort(key=vbins.get(q, ()).index)
+                pool += [(q, mask & off, both if mask & bv else first, omap[mask]) for mask in fu]
+                pool += [(q, mask & off, second, omap[mask]) for mask in fv]
                 ends.append(len(pool))
-            if pool:
-                _walk_edge(e, pool, ends, budget, acc)
+            _walk_edge(e, pool, ends, budget, acc)
     return _divide(state, {mask: value for mask, value in acc.items() if not mask & ~st})
 
 
@@ -420,7 +429,7 @@ class _TangentPool:
     ``records`` holds ``_edge_pool``'s records with the set's derivative
     appended, (order, outside, code, value, derivative), the derivative
     None where the set carries none; the sets only the tangent table
-    holds come as value 0j after the value records of their bin.
+    holds come as value 0j after the stored sets of their bin part.
     ``ends`` is ``_edge_pool``'s, and ``hot[q]`` lists the indices of
     order q that carry a derivative.
     """
@@ -432,10 +441,11 @@ class _TangentPool:
         self.ends = [0]
         self.hot = [[]]
 
-    def add_section(self, cands, u, v, order, tangent, last):
-        """Append one order's records from its (mask, value) candidates, in their order.
+    def add_section(self, masks, omap, u, v, order, tangent, last):
+        """Append one order's records from its masks, already in pool order.
 
-        ``tangent`` maps masks to their derivatives; a mask it lacks
+        ``omap`` is the order's map, and a mask it lacks has value 0j;
+        ``tangent`` maps masks to their derivatives, and a mask it lacks
         carries none.  At the last step a record is kept only if its set
         has at most two vertices off the edge.
         """
@@ -444,7 +454,7 @@ class _TangentPool:
         both, first, second = CODE[3], CODE[2], CODE[1]
         records = self.records
         hot = []
-        for mask, value in cands:
+        for mask in masks:
             outside = mask & off
             if last and outside.bit_count() > 2:
                 continue
@@ -452,25 +462,9 @@ class _TangentPool:
             if der is not None:
                 hot.append(len(records))
             code = (both if mask & bv else first) if mask & bu else second
-            records.append((order, outside, code, value, der))
+            records.append((order, outside, code, omap.get(mask, 0j), der))
         self.hot.append(hot)
         self.ends.append(len(records))
-
-
-def _bin_section(table, u, v, order, tangent, extra):
-    """The edge (u, v)'s order-``order`` (mask, value) candidates for a tangent pool.
-
-    ``bin_candidates``'s pairs, with the masks of ``extra`` (the sets
-    only the tangent table holds, value 0j) after the sets of their bin
-    when ``tangent`` has any derivative on the edge.
-    """
-    cands = bin_candidates(table, u, v, order)
-    if not tangent:
-        return cands
-    bu, bv = 1 << u, 1 << v
-    split = next((i for i, (mask, _value) in enumerate(cands) if not mask & bu), len(cands))
-    return (cands[:split] + [(m, 0j) for m in extra if m & bu] + cands[split:]
-            + [(m, 0j) for m in extra if m & bv and not m & bu])
 
 
 def tangent_pass(state, edge, order):
@@ -495,17 +489,20 @@ def tangent_pass(state, edge, order):
     the observable edge, are enumerated, in the pool and visit order of
     ``advance_order``, with first-order (dual-number) arithmetic, so only
     the observable edge and the model edges that meet a derivative set
-    are walked.  The first tangent is the observable's vacuum column
-    (``_vacuum_column``), and every order is divided as
-    ``advance_order`` divides (``_divide``).  The last order keeps only
-    sets of at most two vertices: with the lower tables and the site
-    values, that is all the next energy coefficient reads.  So the
-    sections an edge builds at the last step keep only records with at
-    most two vertices off the edge.  A lone top-order record with no
-    derivative carries nothing on a model edge, so there the last
-    step's top-order section holds only the derivative sets that meet
-    the edge, in map order, the derivative-only ones after them, as
-    that edge's bins would place them.
+    are walked.  Each section of an edge's pool is u's bin, then the
+    derivative-only sets on u, then v's bin without u, then the
+    derivative-only sets on v without u.  The first tangent is the
+    observable's vacuum column (``_vacuum_column``), and every order is
+    divided as ``advance_order`` divides (``_divide``).  The last order
+    keeps only sets of at most two vertices: with the lower tables and
+    the site values, that is all the next energy coefficient reads.  So
+    the sections an edge builds at the last step keep only records with
+    at most two vertices off the edge.  A lone top-order record with no
+    derivative carries nothing on a model edge, so there the last step's
+    top-order section holds only the derivative sets that meet the edge,
+    binned by vertex from the top order's map order with the
+    derivative-only ones after them, as that edge's bins would place
+    them.
 
     A set whose value is exactly zero but whose derivative is not goes
     after the value table's sets in each bin, not where its first
@@ -519,8 +516,8 @@ def tangent_pass(state, edge, order):
     tangents = {1: _divide(state, _vacuum_column((edge,)))}
     edges = state.model.edges + (edge,)
     obs_idx = len(edges) - 1
+    bins = table.bins
     tpools = {}
-    touched = [0]   # touched[q]: vertices of the order-q derivative sets
     extras = [[]]   # extras[q]: masks only the tangent table holds
     hit = 0         # vertices of every derivative set so far
     for k in range(2, order + 1):
@@ -528,68 +525,39 @@ def tangent_pass(state, edge, order):
         tan = tangents[budget]
         omap = table.orders.get(budget, {})
         extras.append([m for m in tan if m not in omap])
-        seen = 0
         for mask in tan:
-            seen |= mask
-        touched.append(seen)
-        hit |= seen
+            hit |= mask
         last = k == order
         if last:
             # the top order's derivative sets a last-step section can hold,
             # binned by vertex: stored ones in map order, then the others
-            rank = {mask: i for i, mask in enumerate(omap)}
-            size = len(rank)
             top_bins = {}
-            for _key, mask in sorted((rank.get(m, size + i), m) for i, m in enumerate(tan)
-                                     if m.bit_count() <= 4):
-                cand = (mask, omap.get(mask, 0j))
-                for w in members_of(mask):
-                    top_bins.setdefault(w, []).append(cand)
+            for mask in [m for m in omap if m in tan] + extras[budget]:
+                if mask.bit_count() <= 4:
+                    for w in members_of(mask):
+                        top_bins.setdefault(w, []).append(mask)
         acc = {}
         for idx, e in enumerate(edges):
             u, v = e.u, e.v
-            uv = (1 << u) | (1 << v)
+            bu, bv = 1 << u, 1 << v
             obs = idx == obs_idx
-            if not obs and not uv & hit:
+            if not obs and not (bu | bv) & hit:
                 continue
             tp = tpools.get(idx)
             if tp is None:
                 tp = tpools[idx] = _TangentPool()
             for q in range(len(tp.ends), k):
                 if last and q == budget and not obs:
-                    bu = 1 << u
-                    tangent = tan
-                    cands = top_bins.get(u, []) + [c for c in top_bins.get(v, ()) if not c[0] & bu]
+                    masks = top_bins.get(u, []) + [m for m in top_bins.get(v, ()) if not m & bu]
                 else:
-                    tangent = tangents[q] if uv & touched[q] else None
-                    cands = _bin_section(table, u, v, q, tangent, extras[q])
-                tp.add_section(cands, u, v, q, tangent or {}, last)
+                    extra = extras[q]
+                    masks = (bins.get(u, {}).get(q, []) + [m for m in extra if m & bu]
+                             + [m for m in bins.get(v, {}).get(q, ()) if not m & bu]
+                             + [m for m in extra if m & bv and not m & bu])
+                tp.add_section(masks, table.orders.get(q, {}), u, v, q, tangents[q], last)
             _tangent_edge(e, tp, budget, obs, last, acc)
         tangents[k] = _divide(state, acc)
     return tangents
-
-
-def _value_feeders(table, s, t, below):
-    """Edges whose records of orders below ``below`` can lie within {s, t} off the edge.
-
-    Such a record's set is (s,), (t,), (s, t) or a stored set on s or t
-    whose other vertices are endpoints of the edge.  Returns the vertex
-    mask of edges to take by either endpoint, and the set of endpoint
-    pairs to take whole.
-    """
-    st = (1 << s) | (1 << t)
-    singles = st
-    pairs = set()
-    for w in (s, t):
-        for q, masks in table.bins.get(w, {}).items():
-            if q < below:
-                for mask in masks:
-                    rest = mask & ~st
-                    if rest.bit_count() == 1:
-                        singles |= rest
-                    elif rest.bit_count() == 2:
-                        pairs.add(rest)
-    return singles, pairs
 
 
 def _tangent_edge(edge, tp, budget, obs, last, acc):

@@ -378,6 +378,9 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
         ("vertices", [{"id": 0, "delta": 1.0}, {"id": 1, "delta": True}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[True, 0.0]] + matrix[0][1:]] + matrix[1:]}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[0.0, "0.5"]] + matrix[0][1:]] + matrix[1:]}]),
+        # a JSON integer too large for a double
+        ("vertices", [{"id": 0, "delta": 10**400}, {"id": 1, "delta": 1.0}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[10**400, 0.0]] + matrix[0][1:]] + matrix[1:]}]),
     )
     for i, (key, value) in enumerate(cases):
         broken = tmp_path / f"broken-{i}.json"
@@ -385,6 +388,16 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
         doc[key] = value
         broken.write_text(json.dumps(doc))
         assert main(["info", str(broken), "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    # an observable file's cells are read as the model's are: the identity
+    # with a bool or an overflowing part in its first cell is rejected
+    identity = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for i, cell in enumerate(([True, False], [0.0, 10**400])):
+        obs = tmp_path / f"obs-{i}.json"
+        obs.write_text(json.dumps({"matrix": [[cell] + identity[0][1:]] + identity[1:]}))
+        argv = ["correlate", tf_path, "--s", "0", "--t", "1", "--observable", str(obs),
+                "--epsilon", "1e-9", "--order", "2", "--json"]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
     assert (
         main(["energy", tf_path, "--order", "0", "--epsilon", "1e-9", "--json"]) == 2

@@ -78,3 +78,50 @@ def test_every_module_level_import_is_used():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """The module-level private functions and classes of a parsed module, by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+
+
+def _unreferenced_private_definitions(modules):
+    """``module:line name`` of each private definition no other code in ``modules`` names.
+
+    A name counts as referenced where it is read as a name, an attribute
+    or an import, anywhere except inside its own definition.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
+    out = []
+    for path, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            own = {id(node) for node in ast.walk(definition)}
+            used = any(
+                id(node) not in own
+                and (
+                    (isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.alias) and node.name == name)
+                )
+                for other in trees.values()
+                for node in ast.walk(other)
+            )
+            if not used:
+                out.append(f"{path.name}:{definition.lineno} {name}")
+    return out
+
+
+def test_every_private_helper_is_used(tmp_path):
+    modules = sorted((SRC / "ktspin").glob("*.py"))
+    assert modules
+    assert _unreferenced_private_definitions(modules) == []
+    # the scan sees a helper that is left behind, and one named only by itself
+    stray = tmp_path / "stray.py"
+    stray.write_text("def _left(x):\n    return _left(x - 1) if x else 0\n\n\n"
+                     "def _kept():\n    return 1\n\n\nVALUE = _kept()\n")
+    assert _unreferenced_private_definitions(modules + [stray]) == ["stray.py:1 _left"]

@@ -234,6 +234,11 @@ def test_dict_requires_exactly_one_operator_form():
         ("edges", [{"u": 0, "v": 1, "matrix": [[[True, 0.0]] * 4] * 4}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[0.5, False]] * 4] * 4}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[["0.5", 0.0]] * 4] * 4}]),
+        # a JSON integer too large for a double is rejected, not an overflow
+        ("vertices", [{"id": 0, "delta": 10**400}, {"id": 1, "delta": 1.0}]),
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[0.0, -(10**400)]] * 4] * 4}]),
+        # a cell is an [re, im] pair, not an object
+        ("edges", [{"u": 0, "v": 1, "matrix": [[{"re": 1.0}] * 4] * 4}]),
     ],
 )
 def test_dict_rejects_malformed_documents(key, value):

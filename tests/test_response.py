@@ -397,9 +397,9 @@ def test_only_edges_that_meet_a_derivative_set_build_a_pool(monkeypatch):
     sections = []
     add_section = solver._TangentPool.add_section
 
-    def spy(self, cands, u, v, order, tangent, last):
+    def spy(self, masks, omap, u, v, order, tangent, last):
         before = len(self.records)
-        add_section(self, cands, u, v, order, tangent, last)
+        add_section(self, masks, omap, u, v, order, tangent, last)
         sections.append((id(self), u, v, order, last, self.records[before:]))
 
     monkeypatch.setattr(solver._TangentPool, "add_section", spy)
@@ -418,10 +418,19 @@ def test_only_edges_that_meet_a_derivative_set_build_a_pool(monkeypatch):
     walked = sorted(pooled.values())
     want = sorted([(e.u, e.v) for e in m.edges if ((1 << e.u) | (1 << e.v)) & hit] + [(s, t)])
     assert walked == want
-    # some edge meets no derivative set, yet can reach the sites' values
-    singles, pairs = solver._value_feeders(state.table, s, t, p)
+    # some edge meets no derivative set, yet can reach the sites' values:
+    # it touches s or t, or a stored set within it plus {s, t} that meets
+    # it has a vertex off it
+    st = (1 << s) | (1 << t)
+
+    def reaches_sites(e):
+        uv = (1 << e.u) | (1 << e.v)
+        cands = [mask for q in range(1, p) for mask in state.table.orders[q]
+                 if mask & uv and not mask & ~(uv | st)]
+        return bool(uv & st) or any(mask & ~uv for mask in cands)
+
     idle = [e for e in m.edges if not ((1 << e.u) | (1 << e.v)) & hit]
-    assert any(((1 << e.u) | (1 << e.v)) & singles for e in idle)
+    assert any(reaches_sites(e) for e in idle)
 
     def pool_order(u, v, q):
         # the edge's order-q masks as its bins give them, with the sets only
