@@ -13,6 +13,7 @@ from .energy import (
     choose_order,
     energy_coefficient,
     energy_estimate,
+    energy_floor,
     energy_series,
     norm_bound,
     radius_estimate,
@@ -83,6 +84,7 @@ __all__ = [
     "correlator",
     "energy_coefficient",
     "energy_estimate",
+    "energy_floor",
     "energy_series",
     "load_model",
     "model_from_dict",

@@ -3,7 +3,8 @@
 Commands: info, energy, series, correlate, clusters, verify.  Results go
 to stdout (text lines by default, one JSON object with --json); warnings
 go to stderr so pipelines stay parseable.  Exit codes: 0 success, 2
-validation or input error, 3 when --strict is set and the requested
+validation or input error (a --precision below what a double can carry
+included), 3 when --strict is set and the requested
 strength falls outside the certified regime, 1 when verify finds a
 failing cross-check.
 """
@@ -24,6 +25,7 @@ from . import oracle
 from .energy import (
     choose_order,
     energy_estimate,
+    energy_floor,
     energy_series,
     radius_estimate,
     series_from_state,
@@ -43,6 +45,7 @@ from .response import (
     CorrelatorQuery,
     choose_correlator_order,
     correlator,
+    correlator_floor,
 )
 from .setalg import dump_coefficients
 from .solver import solve
@@ -55,13 +58,12 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _emit(payload, as_json, order=None):
+def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload))
         return
-    keys = order if order is not None else list(payload)
-    for key in keys:
-        print(f"{key} = {payload[key]}")
+    for key, value in payload.items():
+        print(f"{key} = {value}")
 
 
 def _require_finite(name, value):
@@ -70,12 +72,23 @@ def _require_finite(name, value):
     return value
 
 
+def _check_floor(precision, floor, quantity):
+    """Reject a precision below ``floor``, about one ulp of the largest certified ``quantity``."""
+    if precision < floor:
+        raise KtspinError(
+            f"--precision {precision:.3e} is below {floor:.3e}, about one ulp of the "
+            f"largest {quantity} the certified regime allows, which no double can carry"
+        )
+
+
 def _pick_order(args, model):
     if args.order is not None:
         if args.order < 1:
             raise KtspinError(f"--order must be >= 1, got {args.order}")
         return args.order
-    return choose_order(model.n, model.Delta, args.precision)
+    order = choose_order(model.n, model.Delta, args.precision)
+    _check_floor(args.precision, energy_floor(model), "|E|")
+    return order
 
 
 def _load_observable(text):
@@ -183,6 +196,7 @@ def _cmd_correlate(args):
         order = args.order
     else:
         order = choose_correlator_order(args.precision, model.J, model.d)
+        _check_floor(args.precision, correlator_floor(obs), "|K|")
     query = CorrelatorQuery(s=args.s, t=args.t, observable=obs, epsilon=eps, order=order)
     result = correlator(model, query)
     payload = {

@@ -137,6 +137,19 @@ def truncation_bound(n, delta_min, order):
     return n * delta_min * 2.0 ** (-16 - order)
 
 
+def energy_floor(model):
+    """The smallest precision a double can carry for E: 2^-52 * eps0 * sum of ||V_e||.
+
+    H0 is diagonal with ground energy 0, so by Bauer-Fike the ground
+    energy moves at most |eps| ||V|| <= eps0 * sum_e ||V_e|| inside the
+    certified regime |eps| <= eps0.  Doubles of that size are spaced up
+    to 2^-52 of it apart, so no printed E can be certified closer.  A
+    model whose edge operators are all zero has E = 0 and floor 0.
+    """
+    total = sum(e.op.norm() for e in model.edges)
+    return 2.0 ** -52 * model.eps0 * total if total else 0.0
+
+
 def energy_estimate(series, eps):
     """Partial power sum and, when certified, its truncation bound.
 

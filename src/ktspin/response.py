@@ -286,6 +286,15 @@ def correlator_bound(p, j_max, d):
     return 2.0 ** (-16 - p) * j_max * d * (d + 1)
 
 
+def correlator_floor(observable):
+    """The smallest precision a double can carry for a correlator: 2^-52 * ||O||.
+
+    The correlator is an expectation of O, so |K| <= ||O||, and doubles
+    of that size are spaced up to 2^-52 of it apart.
+    """
+    return 2.0 ** -52 * observable.norm()
+
+
 def choose_correlator_order(precision, j_max, d):
     """Smallest order whose certified bound meets the requested precision."""
     if not (precision > 0):

@@ -34,12 +34,13 @@ exact series.
 
 Each edge (u, v) walks a pool of candidate records: the stored sets
 that meet the edge, order by order, each order as the table's bins hold
-it, u's bin and then v's bin without u.  Every pool in this module,
-the correlator's included, places its records in that order.  The pool
-is built in one pass straight from the table's bins when the edge's
-walk starts, together with the index
-where each order's section ends, and freed when the walk ends, so
-between advances a solve holds only its table.  Since the pool is
+it, u's bin and then v's bin without u.  ``_edge_pool`` builds every
+pool of the value walk, the correlator's site values included, and the
+tangent pass builds its pools from the same bins, so each pool places
+its records in that order.  The pool is built in one pass straight
+from the table's bins when the edge's walk starts, together with the
+index where each order's section ends, and freed when the walk ends,
+so between advances a solve holds only its table.  Since the pool is
 sorted by order, a partial tuple with budget r left reads only the
 sections of orders 1..r: those below r extend it, and order r closes
 it, so no record of a higher order is visited.  An edge maps each
@@ -66,9 +67,9 @@ a derivative or act through the observable edge, so only that edge and
 the model edges that meet a derivative set are walked.  It shares the
 solve's vacuum column, kernel slots and division by excitation
 energies.  The plain values the correlator reads at the top order, of
-{s}, {t} and {s, t}, come from ``site_values``: the solve's own
-per-edge walk (``_walk_edge``) over only the stored sets that can reach
-them, placed by their bins.
+{s}, {t} and {s, t}, come from ``site_values``: the solve's own pools
+(``_edge_pool``), kept to the sets within each edge plus {s, t}, the
+only ones that can reach them, and walked by ``_walk_edge``.
 """
 
 from __future__ import annotations
@@ -228,12 +229,13 @@ def _freeze_order(state, acc, order):
     state.dropped.append((count, max(dropped.values(), default=0.0)))
 
 
-def _edge_pool(table, u, v, budget):
+def _edge_pool(table, u, v, budget, within=-1):
     """The edge (u, v)'s pool records of orders 1..budget, and each order's section end.
 
     A record is (order, outside bitmask, multiset code of its edge bits,
     value), built in one pass straight from the bins, each order as u's
-    bin and then v's bin without u.
+    bin and then v's bin without u, keeping only the sets that lie in
+    the bitmask ``within`` (every set, by default).
     ``ends[q]`` is the index past the last record of order q, so
     ``ends[0]`` is 0 and order q's section is ``ends[q - 1]:ends[q]``.
     """
@@ -243,6 +245,7 @@ def _edge_pool(table, u, v, budget):
     vbins = bins.get(v, {})
     bu, bv = 1 << u, 1 << v
     off = ~(bu | bv)
+    beyond = ~within
     both, first, second = CODE[3], CODE[2], CODE[1]
     pool = []
     ends = [0]
@@ -250,9 +253,9 @@ def _edge_pool(table, u, v, budget):
         omap = orders.get(q)
         if omap:
             pool += [(q, mask & off, both if mask & bv else first, omap[mask])
-                     for mask in ubins.get(q, ())]
+                     for mask in ubins.get(q, ()) if not mask & beyond]
             pool += [(q, mask & off, second, omap[mask])
-                     for mask in vbins.get(q, ()) if not mask & bu]
+                     for mask in vbins.get(q, ()) if not mask & bu and not mask & beyond]
         ends.append(len(pool))
     return pool, ends
 
@@ -355,14 +358,13 @@ def site_values(state, s, t, order):
     Each is the value ``advance_order`` would store (at threshold 0),
     bit for bit, and an exact zero is left out.  ``state`` must hold
     orders up to order - 1.  Order 1 is the vacuum column of the edges
-    on s or t.  Above it, an edge's candidates are the stored sets that
-    meet it and lie within it plus {s, t}: a tuple that reaches a target
-    within {s, t} has every item there.  An edge is walked
-    (``_walk_edge``) only if it touches s or t or one of its candidates
-    has a vertex off it; any other edge adds only to targets off {s, t}.
-    Its candidates take their places in u's bin, then in v's, as in
-    ``_edge_pool``, so these pools visit the tuples in the solve's
-    order, and the edges come in the model's order.
+    on s or t.  Above it, an edge's pool is ``_edge_pool``'s, kept to
+    the sets that lie within the edge plus {s, t}: a tuple that reaches
+    a target within {s, t} has every item there.  The kept records stay
+    in the bins' order, so these pools visit the tuples in the solve's
+    order, and the edges come in the model's order.  An edge is walked
+    (``_walk_edge``) only if it touches s or t or one of its records has
+    a vertex off it; any other edge adds only to targets off {s, t}.
     """
     st = (1 << s) | (1 << t)
     edges = state.model.edges
@@ -373,38 +375,12 @@ def site_values(state, s, t, order):
         if state.current_order < budget:
             raise ValueError(f"state holds orders up to {state.current_order}, "
                              f"site values of order {order} need {budget}")
-        omaps = [state.table.orders.get(q, {}) for q in range(1, budget + 1)]
-        bins = state.table.bins
-        both, first, second = CODE[3], CODE[2], CODE[1]
         acc = {}
         for e in edges:
-            bu, bv = 1 << e.u, 1 << e.v
-            uv = bu | bv
-            off = ~uv
-            within = uv | st
-            usubs, vsubs = [], []
-            sub = within
-            while sub:
-                if sub & bu:
-                    usubs.append(sub)
-                elif sub & bv:
-                    vsubs.append(sub)
-                sub = (sub - 1) & within
-            found = [([m for m in usubs if m in omap], [m for m in vsubs if m in omap])
-                     for omap in omaps]
-            if not (uv & st or any(m & off for fu, fv in found for m in fu + fv)):
-                continue
-            ubins, vbins = bins.get(e.u, {}), bins.get(e.v, {})
-            pool = []
-            ends = [0]
-            for q, (fu, fv) in enumerate(found, 1):
-                omap = omaps[q - 1]
-                fu.sort(key=ubins.get(q, ()).index)
-                fv.sort(key=vbins.get(q, ()).index)
-                pool += [(q, mask & off, both if mask & bv else first, omap[mask]) for mask in fu]
-                pool += [(q, mask & off, second, omap[mask]) for mask in fv]
-                ends.append(len(pool))
-            _walk_edge(e, pool, ends, budget, acc)
+            uv = (1 << e.u) | (1 << e.v)
+            pool, ends = _edge_pool(state.table, e.u, e.v, budget, uv | st)
+            if uv & st or any(rec[1] for rec in pool):
+                _walk_edge(e, pool, ends, budget, acc)
     return _divide(state, {mask: value for mask, value in acc.items() if not mask & ~st})
 
 

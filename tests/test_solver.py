@@ -198,7 +198,9 @@ def test_advance_after_a_dump_continues_the_solve(rng):
 def test_an_edge_pool_holds_its_bin_candidates_order_by_order(rng):
     # the pool advance_order builds in one pass: section q holds one
     # (order, outside part, code of the edge bits, value) record per
-    # bin_candidates(q) pair, in that order, and ends where ends[q] says
+    # bin_candidates(q) pair, in that order, and ends where ends[q] says;
+    # a pool kept to the sets within a mask holds those of its records
+    # whose set lies in the mask plus the edge, in the same order
     m = random_model(rng, topology_pairs("ring", 7), 7)
     p = 4
     table = solve(m, p).table
@@ -213,6 +215,15 @@ def test_an_edge_pool_holds_its_bin_candidates_order_by_order(rng):
                 for mask, value in bin_candidates(table, e.u, e.v, q)
             ]
             assert want and pool[ends[q - 1]:ends[q]] == want
+        for s, t in ((e.u, e.v), (0, 3), (2, 5), (1, 6)):
+            within = bu | bv | (1 << s) | (1 << t)
+            kept, kept_ends = _edge_pool(table, e.u, e.v, p, within)
+            assert kept_ends[0] == 0 and kept_ends[p] == len(kept)
+            assert 0 < len(kept) < len(pool)
+            for q in range(1, p + 1):
+                section = pool[ends[q - 1]:ends[q]]
+                want = [rec for rec in section if not rec[1] & ~within]
+                assert kept[kept_ends[q - 1]:kept_ends[q]] == want
 
 
 def test_excitation_energy_is_the_left_to_right_sum(rng):
