@@ -8,16 +8,19 @@ strength regime come with rigorous truncation bounds; a dense
 exact-diagonalization oracle is included for cross-checking.
 """
 
+from .certificate import (
+    choose_correlator_order,
+    choose_order,
+    energy_floor,
+    norm_bound,
+    truncation_bound,
+)
 from .energy import (
     EnergySeries,
-    choose_order,
     energy_coefficient,
     energy_estimate,
-    energy_floor,
     energy_series,
-    norm_bound,
     radius_estimate,
-    truncation_bound,
 )
 from .errors import (
     DanglingVertexId,
@@ -48,7 +51,6 @@ from .model import (
 from .response import (
     CorrelatorQuery,
     CorrelatorResult,
-    choose_correlator_order,
     correlator,
     restrict_neighborhood,
 )

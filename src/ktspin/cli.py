@@ -4,8 +4,8 @@ Commands: info, energy, series, correlate, clusters, verify.  Results go
 to stdout (text lines by default, one JSON object with --json); warnings
 go to stderr so pipelines stay parseable.  Exit codes: 0 success, 2
 validation or input error (a --precision below what a double can carry
-included), 3 when --strict is set and the requested
-strength falls outside the certified regime, 1 when verify finds a
+included), 3 when --strict is set and the estimate withholds its bound
+(the one ``warning:`` line on stderr names why), 1 when verify finds a
 failing cross-check.
 """
 
@@ -22,14 +22,8 @@ import numpy as np
 
 from . import clusters as clusters_mod
 from . import oracle
-from .energy import (
-    choose_order,
-    energy_estimate,
-    energy_floor,
-    energy_series,
-    radius_estimate,
-    series_from_state,
-)
+from .certificate import choose_correlator_order, choose_order, correlator_threshold
+from .energy import energy_estimate, energy_series, radius_estimate, series_from_state
 from .errors import KtspinError, NonFiniteStrength, ParseError
 from .kernel import matrix_element
 from .model import (
@@ -40,13 +34,7 @@ from .model import (
     load_model,
     matrix_from_json,
 )
-from .response import (
-    REGIME_NONE,
-    CorrelatorQuery,
-    choose_correlator_order,
-    correlator,
-    correlator_floor,
-)
+from .response import CorrelatorQuery, correlator
 from .setalg import dump_coefficients
 from .solver import solve
 
@@ -72,23 +60,29 @@ def _require_finite(name, value):
     return value
 
 
-def _check_floor(precision, floor, quantity):
-    """Reject a precision below ``floor``, about one ulp of the largest certified ``quantity``."""
-    if precision < floor:
-        raise KtspinError(
-            f"--precision {precision:.3e} is below {floor:.3e}, about one ulp of the "
-            f"largest {quantity} the certified regime allows, which no double can carry"
-        )
+def _pick_order(args, least, choose, *inputs):
+    """``--order``, at least ``least``, or the order ``choose(*inputs, precision)`` gives ``--precision``."""
+    if args.order is None:
+        return choose(*inputs, args.precision)
+    if args.order < least:
+        raise KtspinError(f"--order must be >= {least}, got {args.order}")
+    return args.order
 
 
-def _pick_order(args, model):
-    if args.order is not None:
-        if args.order < 1:
-            raise KtspinError(f"--order must be >= 1, got {args.order}")
-        return args.order
-    order = choose_order(model.n, model.Delta, args.precision)
-    _check_floor(args.precision, energy_floor(model), "|E|")
-    return order
+def _certified(estimate, *inputs):
+    """``estimate(*inputs)``, each warning it raises printed to stderr as a ``warning:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimate(*inputs)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return result
+
+
+def _report(payload, args, bound):
+    """Emit ``payload``; exit 3 when ``--strict`` is set and no bound is attached."""
+    _emit(payload, args.json)
+    return 3 if args.strict and bound is None else 0
 
 
 def _load_observable(text):
@@ -139,7 +133,7 @@ def _cmd_info(args):
 
 
 def _run_series(args, model):
-    order = _pick_order(args, model)
+    order = _pick_order(args, 1, choose_order, model)
     state = solve(model, max(order - 1, 1), args.threshold)
     series = series_from_state(state, order)
     if args.dump_coefficients:
@@ -152,11 +146,7 @@ def _cmd_energy(args):
     model = load_model(args.model)
     eps = _require_finite("epsilon", args.epsilon)
     order, series = _run_series(args, model)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, bound = energy_estimate(series, eps)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    value, bound = _certified(energy_estimate, series, eps)
     payload = {
         "E": _finite_or_none(value.real),
         "E_im": _finite_or_none(value.imag),
@@ -166,10 +156,7 @@ def _cmd_energy(args):
         "coefficients": _coeff_pairs(series.coefficients),
         "radius_estimate": _finite_or_none(radius_estimate(series)),
     }
-    _emit(payload, args.json)
-    if args.strict and bound is None:
-        return 3
-    return 0
+    return _report(payload, args, bound)
 
 
 def _cmd_series(args):
@@ -190,32 +177,16 @@ def _cmd_correlate(args):
     model = load_model(args.model)
     eps = _require_finite("epsilon", args.epsilon)
     obs = _load_observable(args.observable)
-    if args.order is not None:
-        if args.order < 0:
-            raise KtspinError(f"--order must be >= 0, got {args.order}")
-        order = args.order
-    else:
-        order = choose_correlator_order(args.precision, model.J, model.d)
-        _check_floor(args.precision, correlator_floor(obs), "|K|")
+    order = _pick_order(args, 0, choose_correlator_order, model, obs)
     query = CorrelatorQuery(s=args.s, t=args.t, observable=obs, epsilon=eps, order=order)
-    result = correlator(model, query)
+    result = _certified(correlator, model, query)
     payload = {
         "K": _finite_or_none(result.value.real),
         "bound": _finite_or_none(result.bound),
         "p": result.order,
         "regime": result.regime,
     }
-    if result.regime == REGIME_NONE:
-        reason = (
-            f"|epsilon| = {abs(eps):.3e} outside the certified correlator regime"
-            if math.isfinite(abs(result.value))
-            else "the correlator value is not finite"
-        )
-        print(f"warning: {reason}; no rigorous bound attached", file=sys.stderr)
-    _emit(payload, args.json)
-    if args.strict and result.regime == REGIME_NONE:
-        return 3
-    return 0
+    return _report(payload, args, result.bound)
 
 
 def _cmd_clusters(args):
@@ -294,7 +265,7 @@ def _verify_checks(max_qubits, seeds):
 
         # correlator vs exact expectation, on an edge and two hops apart
         obs = TwoQubitOperator.from_pauli("ZI")
-        eps = model.eps0_star / (2 * model.d)
+        eps = correlator_threshold(model)
         gs = oracle.ground(model, eps)
         for s, t, name in ((0, 1, "correlator"), (0, 2, "correlator-sites-0-2")):
             query = CorrelatorQuery(s=s, t=t, observable=obs, epsilon=eps, order=3)

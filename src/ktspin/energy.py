@@ -1,4 +1,4 @@
-"""Energy series coefficients, truncation bounds, and order selection.
+"""Energy series coefficients and their partial power sum.
 
 E_1 sums the vacuum-to-vacuum entry ``entries[0][0]`` of every edge
 term.  For order p > 1 the coefficient reads the stored tables of total
@@ -20,10 +20,10 @@ correlator's response coefficients (derivatives along an observable).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import EmptySet, NonFiniteStrength, NonPositiveGap, NonPositivePrecision
+from .certificate import certify_energy
+from .errors import NonFiniteStrength, NonPositivePrecision
 from .setalg import table_lookup
 from .solver import solve, times
 
@@ -132,32 +132,14 @@ def series_from_state(state, order):
     )
 
 
-def truncation_bound(n, delta_min, order):
-    """Rigorous remainder bound n*Delta*2^(-16-order) inside the threshold."""
-    return n * delta_min * 2.0 ** (-16 - order)
-
-
-def energy_floor(model):
-    """The smallest precision a double can carry for E: 2^-52 * eps0 * sum of ||V_e||.
-
-    H0 is diagonal with ground energy 0, so by Bauer-Fike the ground
-    energy moves at most |eps| ||V|| <= eps0 * sum_e ||V_e|| inside the
-    certified regime |eps| <= eps0.  Doubles of that size are spaced up
-    to 2^-52 of it apart, so no printed E can be certified closer.  A
-    model whose edge operators are all zero has E = 0 and floor 0.
-    """
-    total = sum(e.op.norm() for e in model.edges)
-    return 2.0 ** -52 * model.eps0 * total if total else 0.0
-
-
 def energy_estimate(series, eps):
     """Partial power sum and, when certified, its truncation bound.
 
     When the sum is not finite, outside the guaranteed strength range, or
     when a threshold dropped coefficients from the solved table, the value
-    is still returned, the bound is None, and a UserWarning is emitted.
-    A NaN or infinite strength raises NonFiniteStrength: no comparison
-    with ``eps0`` can place it.
+    is still returned, the bound is None, and a UserWarning names the
+    reason (``certificate.certify_energy``).  A NaN or infinite strength
+    raises NonFiniteStrength: no comparison with ``eps0`` can place it.
     """
     if not math.isfinite(abs(eps)):
         raise NonFiniteStrength(f"epsilon must be finite, got {eps}")
@@ -166,39 +148,7 @@ def energy_estimate(series, eps):
     for coeff in series.coefficients:
         power = power * eps
         value = value + coeff * power
-    count = sum(c for c, _norm in series.dropped)
-    if not math.isfinite(abs(value)):
-        reason = "the energy value is not finite"
-    elif count:
-        reason = f"a threshold dropped {count} coefficients from the solved table"
-    elif abs(eps) > series.eps0:
-        reason = (
-            f"|epsilon| = {abs(eps):.3e} exceeds the certified threshold "
-            f"{series.eps0:.3e}"
-        )
-    else:
-        return value, truncation_bound(series.n, series.Delta, series.order)
-    warnings.warn(f"{reason}; no rigorous bound attached", UserWarning, stacklevel=2)
-    return value, None
-
-
-def choose_order(n, delta_min, precision):
-    """Smallest order whose truncation bound meets the requested precision."""
-    if n < 1:
-        raise EmptySet(f"need at least one vertex, got n={n}")
-    if not (delta_min > 0):
-        raise NonPositiveGap(f"Delta must be positive, got {delta_min}")
-    if not (precision > 0):
-        raise NonPositivePrecision(f"precision must be positive, got {precision}")
-    order = 1
-    while truncation_bound(n, delta_min, order) > precision:
-        order += 1
-    return order
-
-
-def norm_bound(eps0, order):
-    """Certified ceiling 2^-15/(2*eps0)^order for the order's fluctuation norm."""
-    return 2.0 ** -15 / (2.0 * eps0) ** order
+    return value, certify_energy(series, eps, value)
 
 
 def radius_estimate(series):

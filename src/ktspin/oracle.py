@@ -51,10 +51,10 @@ def _diagonal(model):
     return diag
 
 
-def build_hamiltonian(model, eps, cap=QUBIT_CAP):
+def build_hamiltonian(model, eps):
     """Dense 2^n x 2^n matrix of the full Hamiltonian at strength eps."""
     n = model.n
-    _check_size(n, min(cap, 12))
+    _check_size(n, 12)  # a dense 2^n x 2^n build beyond 12 qubits is too large
     dim = 1 << n
     ham = np.zeros((dim, dim), dtype=complex)
     ham[np.diag_indices(dim)] = _diagonal(model)
@@ -125,12 +125,12 @@ def _norm_scale(model, eps):
     )
 
 
-def _two_lowest(model, eps, cap):
+def _two_lowest(model, eps):
     """(lowest eigenvalue, next one, lowest eigenvector, the Hamiltonian solved)."""
     n = model.n
-    _check_size(n, cap)
+    _check_size(n, QUBIT_CAP)
     if n <= _DENSE_LIMIT:
-        ham = build_hamiltonian(model, eps, cap=cap)
+        ham = build_hamiltonian(model, eps)
         if model.hermitian:
             vals, vecs = np.linalg.eigh(ham)
             return vals[0], vals[1], vecs[:, 0], ham
@@ -162,9 +162,9 @@ def _real_lowest(model, eps, vals, vecs):
     return e0.real, vals[order[1]].real, vecs[:, order[0]]
 
 
-def ground(model, eps, cap=QUBIT_CAP):
+def ground(model, eps):
     """Exact lowest eigenpair; raises if the eigensolve looks unconverged."""
-    e0, _e1, vec, ham = _two_lowest(model, eps, cap)
+    e0, _e1, vec, ham = _two_lowest(model, eps)
     vec = np.asarray(vec, dtype=complex)
     vec = vec / np.linalg.norm(vec)
     a0 = vec[0]
@@ -177,9 +177,9 @@ def ground(model, eps, cap=QUBIT_CAP):
     return GroundResult(energy=float(e0), state=vec, residual=resid)
 
 
-def gap(model, eps, cap=QUBIT_CAP):
+def gap(model, eps):
     """Difference between the two smallest eigenvalues."""
-    e0, e1, _vec, _ham = _two_lowest(model, eps, cap)
+    e0, e1, _vec, _ham = _two_lowest(model, eps)
     return float(e1 - e0)
 
 
@@ -271,7 +271,7 @@ class NumericSeries:
     values: np.ndarray
 
 
-def numeric_series(model, order, radius=None, cap=QUBIT_CAP):
+def numeric_series(model, order, radius=None):
     """Fit the exact energy curve to a polynomial with zero constant term.
 
     Samples the exact ground energy at 2*order+1 Chebyshev nodes within
@@ -281,13 +281,13 @@ def numeric_series(model, order, radius=None, cap=QUBIT_CAP):
     the eigensolver's absolute accuracy; at very small radii they are
     large and honest.
     """
-    _check_size(model.n, cap)
+    _check_size(model.n, QUBIT_CAP)
     r = radius if radius is not None else model.eps0 / 4.0
     if not np.isfinite(r) or r <= 0:
         raise ValueError(f"need a positive finite sampling radius, got {r}")
     count = 2 * order + 1
     nodes = r * np.cos(np.pi * (2 * np.arange(count) + 1) / (2 * count))
-    values = np.array([ground(model, float(x), cap=cap).energy for x in nodes])
+    values = np.array([ground(model, float(x)).energy for x in nodes])
     scaled = nodes / r
     design = np.column_stack([scaled ** q for q in range(1, order + 1)])
     fit, _res, _rank, _sv = np.linalg.lstsq(design, values, rcond=None)

@@ -73,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import certify_correlator, observable_scale
 from .clusters import AdjacencyGraph, distances
 from .errors import (
     DanglingVertexId,
@@ -84,9 +85,6 @@ from .errors import (
 from .energy import energy_terms, vacuum_rows
 from .model import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
 from .solver import site_values, solve, tangent_pass
-
-REGIME_CERTIFIED = "lemma9"
-REGIME_NONE = "none"
 
 
 def _check_strength(eps):
@@ -118,7 +116,8 @@ class CorrelatorResult:
 
     ``coefficients[q]`` is the order-q response coefficient, so the value
     is their power sum in epsilon.  ``bound`` is the rigorous truncation
-    bound when the strength lies in the certified regime, else None.
+    bound when the strength lies in the certified regime, else None
+    (``certificate.certify_correlator``).
     """
 
     value: complex
@@ -226,11 +225,12 @@ def _response_coefficients(state, edge, p, last_values):
 def correlator(model, query, restrict=True):
     """Order-p correlator of a two-site observable in the ground state.
 
-    The observable is rescaled internally when its norm exceeds the
-    model's edge-strength scale, and the result and bound are scaled
-    back, so callers never see the rescaling.  A NaN or infinite
-    strength raises NonFiniteStrength, and a value that comes out
-    non-finite is never certified.  The value solve of the query's
+    The observable is divided by ``certificate.observable_scale`` when
+    its norm exceeds the model's edge-strength scale, and the result and
+    bound are scaled back, so callers never see the rescaling.  A NaN or
+    infinite strength raises NonFiniteStrength.  Outside the certified
+    regime, or when the value comes out non-finite, the bound is None
+    and a UserWarning names the reason.  The value solve of the query's
     light cone stays on the model for the next query (see the module
     docstring).
     """
@@ -247,12 +247,7 @@ def correlator(model, query, restrict=True):
         raise NonPositivePrecision("correlator order must be >= 0")
     eps = query.epsilon
     _check_strength(eps)
-    j_max = model.J
-    d = model.d
-    scale = 1.0
-    onorm = obs.norm()
-    if j_max > 0.0 and onorm > j_max:
-        scale = onorm / j_max
+    scale = observable_scale(model, obs)
     run_op = TwoQubitOperator(obs.entries / scale) if scale != 1.0 else obs
 
     if p == 0:
@@ -270,36 +265,7 @@ def correlator(model, query, restrict=True):
         value = value * scale
         ders = [der * scale for der in ders]
 
-    if math.isfinite(abs(value)) and (d == 0 or abs(eps) <= model.eps0_star / (2 * d)):
-        regime = REGIME_CERTIFIED
-        bound = correlator_bound(p, j_max, d) * scale
-    else:
-        regime = REGIME_NONE
-        bound = None
+    regime, bound = certify_correlator(model, eps, p, value, scale)
     return CorrelatorResult(
         value=value, bound=bound, regime=regime, coefficients=ders, order=p
     )
-
-
-def correlator_bound(p, j_max, d):
-    """Rigorous truncation bound 2^(-16-p) J d (d+1) of an order-p correlator in its regime."""
-    return 2.0 ** (-16 - p) * j_max * d * (d + 1)
-
-
-def correlator_floor(observable):
-    """The smallest precision a double can carry for a correlator: 2^-52 * ||O||.
-
-    The correlator is an expectation of O, so |K| <= ||O||, and doubles
-    of that size are spaced up to 2^-52 of it apart.
-    """
-    return 2.0 ** -52 * observable.norm()
-
-
-def choose_correlator_order(precision, j_max, d):
-    """Smallest order whose certified bound meets the requested precision."""
-    if not (precision > 0):
-        raise NonPositivePrecision(f"precision must be positive, got {precision}")
-    p = 0
-    while correlator_bound(p, j_max, d) > precision:
-        p += 1
-    return p

@@ -7,7 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from ktspin import choose_correlator_order, load_model, model_to_dict, save_model
+from ktspin import (
+    TwoQubitOperator,
+    choose_correlator_order,
+    load_model,
+    model_to_dict,
+    save_model,
+)
 from ktspin.cli import main
 from ktspin.model import parse_pauli_expression
 from conftest import make_model, random_model, tf_edge_model, topology_pairs
@@ -208,7 +214,7 @@ def test_correlate_precision_selects_same_output_as_explicit_order(capsys, tf_pa
     assert code == 0
     m = load_model(tf_path)
     p = by_prec["p"]
-    assert p == choose_correlator_order(1e-6, m.J, m.d) > 0
+    assert p == choose_correlator_order(m, TwoQubitOperator.from_pauli("ZI"), 1e-6) > 0
     code, by_order, _ = run_json(capsys, base + ["--order", str(p)])
     assert code == 0
     assert by_order == by_prec

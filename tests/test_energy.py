@@ -123,19 +123,20 @@ def test_truncation_bound_formula():
 
 def test_choose_order_is_minimal():
     for n, delta, prec in [(2, 1.0, 1e-9), (10, 0.5, 1e-6), (100, 2.0, 1e-12)]:
-        p = choose_order(n, delta, prec)
+        p = choose_order(make_model([delta] * n, []), prec)
         assert truncation_bound(n, delta, p) <= prec
         assert p == 1 or truncation_bound(n, delta, p - 1) > prec
-    assert choose_order(1, 1.0, 1.0) == 1
+    assert choose_order(make_model([1.0], []), 1.0) == 1
 
 
 def test_choose_order_validates():
+    # a model holds no non-positive gap, so it is refused when it is built
     with pytest.raises(NonPositiveGap):
-        choose_order(2, 0.0, 1e-6)
+        choose_order(make_model([0.0, 1.0], []), 1e-6)
     with pytest.raises(NonPositivePrecision):
-        choose_order(2, 1.0, 0.0)
+        choose_order(make_model([1.0, 1.0], []), 0.0)
     with pytest.raises(EmptySet):
-        choose_order(0, 1.0, 1e-6)
+        choose_order(make_model([], []), 1e-6)
 
 
 def test_norm_bound_formula():

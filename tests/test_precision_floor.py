@@ -18,7 +18,7 @@ import pytest
 
 from ktspin import TwoQubitOperator, energy_floor, load_model, model_to_dict, save_model
 from ktspin.cli import main
-from ktspin.response import correlator_floor
+from ktspin.certificate import correlator_floor
 from conftest import make_model, random_model, topology_pairs
 
 # (delta_u, delta_v, a, b, c): V has a at |00><00|, b at |00><11|, c at |11><11|

@@ -26,7 +26,7 @@ from ktspin import response, solver
 from ktspin.kernel import CODE
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
-from ktspin.response import REGIME_CERTIFIED, REGIME_NONE
+from ktspin.certificate import REGIME_CERTIFIED, REGIME_NONE
 from ktspin.setalg import bin_candidates
 from ktspin.solver import site_values, tangent_pass
 from conftest import (
@@ -95,7 +95,8 @@ def test_validation_errors():
 def test_regime_none_beyond_threshold():
     m = tf_edge_model()
     eps = m.eps0_star  # twice the certified correlator strength
-    r = correlator(m, query(0, 1, zi(), eps, 2))
+    with pytest.warns(UserWarning, match="outside the certified correlator regime"):
+        r = correlator(m, query(0, 1, zi(), eps, 2))
     assert r.regime == REGIME_NONE
     assert r.bound is None
 
@@ -115,7 +116,8 @@ def test_non_finite_strength_is_never_certified():
         with pytest.raises(NonFiniteStrength):
             correlator(m, changed)
     # a finite strength whose powers overflow: 0 * inf makes the value NaN
-    r = correlator(m, query(0, 1, zz, 1e300, 3))
+    with pytest.warns(UserWarning, match="the correlator value is not finite"):
+        r = correlator(m, query(0, 1, zz, 1e300, 3))
     assert np.isnan(r.value)
     assert r.regime == REGIME_NONE
     assert r.bound is None
@@ -280,13 +282,16 @@ def test_restrict_neighborhood_whole_graph_when_wide():
 
 
 def test_choose_correlator_order_is_minimal():
-    p = choose_correlator_order(2.0**-20, 1.0, 4)
+    # a star of four XX edges: J = 1, d = 4, and ZZ needs no rescaling
+    star = make_model([1.0] * 5, [(0, w, parse_pauli_expression("XX")) for w in range(1, 5)])
+    zz = TwoQubitOperator.from_pauli("ZZ")
+    p = choose_correlator_order(star, zz, 2.0**-20)
     assert p == 9
     assert 2.0 ** (-16 - p) * 1.0 * 4 * 5 <= 2.0**-20
     assert 2.0 ** (-16 - (p - 1)) * 1.0 * 4 * 5 > 2.0**-20
-    assert choose_correlator_order(1.0, 0.0, 0) == 0
+    assert choose_correlator_order(make_model([1.0, 1.0], []), zz, 1.0) == 0
     with pytest.raises(NonPositivePrecision):
-        choose_correlator_order(0.0, 1.0, 4)
+        choose_correlator_order(star, zz, 0.0)
 
 
 def test_identity_observable_has_flat_response(rng):
