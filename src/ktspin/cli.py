@@ -89,14 +89,16 @@ def _load_observable(text):
     """Observable from a Pauli expression or a JSON file path.
 
     A file holds ``{"pauli": expression}``, ``{"matrix": rows}`` or the
-    rows alone, four rows of four [re, im] pairs; anything else raises
-    ParseError.
+    rows alone, four rows of four [re, im] pairs; anything else, a
+    document with both keys included, raises ParseError.
     """
     if not os.path.isfile(text):
         return TwoQubitOperator.from_pauli(text)
     with open(text) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
+        if "pauli" in doc and "matrix" in doc:
+            raise ParseError(f"observable file {text} needs exactly one of 'matrix' or 'pauli'")
         if "pauli" in doc:
             return TwoQubitOperator.from_pauli(doc["pauli"])
         doc = doc.get("matrix")

@@ -37,6 +37,10 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?")
 _PAREN = re.compile(r"\(([^()]*)\)")
 _PAULI_PAIR = re.compile(r"[IXYZ]{2}")
 
+# the largest difference between an entry and its Hermitian partner
+# that ``TwoQubitOperator.is_hermitian`` accepts
+_HERMITIAN_TOL = 1e-12
+
 
 def parse_pauli_expression(text):
     """Parse a sum of two-qubit Pauli terms into a 4x4 complex matrix.
@@ -131,11 +135,11 @@ class TwoQubitOperator:
             self._norm = float(np.linalg.svd(self.entries, compute_uv=False)[0])
         return self._norm
 
-    def is_hermitian(self, tol=1e-12):
-        """Whether no entry differs from its Hermitian partner by more than tol."""
+    def is_hermitian(self):
+        """Whether no entry differs from its Hermitian partner by more than 1e-12."""
         if self._skew is None:
             self._skew = float(np.max(np.abs(self.entries - self.entries.conj().T)))
-        return self._skew <= tol
+        return self._skew <= _HERMITIAN_TOL
 
     def __repr__(self):
         return f"TwoQubitOperator({self.entries.tolist()!r})"
@@ -260,16 +264,24 @@ def _json_number(value):
     return value
 
 
+def _json_cell(cell):
+    """A JSON list of exactly two numbers [re, im] as a complex number; else TypeError."""
+    if not isinstance(cell, list) or len(cell) != 2:
+        raise TypeError(f"expected an [re, im] pair, got {cell!r}")
+    return complex(_json_number(cell[0]), _json_number(cell[1]))
+
+
 def matrix_from_json(rows):
     """Rows of [re, im] JSON number pairs as rows of complex numbers.
 
-    Each part goes through ``_json_number``; a part that is not a JSON
-    number, one too large for a double, or rows and cells of the wrong
-    kind raise ValueError.  The shape is left to ``TwoQubitOperator``.
+    Each cell goes through ``_json_cell`` and each part through
+    ``_json_number``; a cell that is not a list of exactly two parts, a
+    part that is not a JSON number, one too large for a double, or rows
+    of the wrong kind raise ValueError.  The shape is left to
+    ``TwoQubitOperator``.
     """
     try:
-        return [[complex(_json_number(cell[0]), _json_number(cell[1])) for cell in row]
-                for row in rows]
+        return [[_json_cell(cell) for cell in row] for row in rows]
     except (KeyError, TypeError, IndexError, ValueError, OverflowError):
         raise ValueError("expected rows of [re, im] number pairs") from None
 

@@ -4,12 +4,15 @@ The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
-point, a ``SolverState`` advanced order by order: order 1 reads the
-vacuum column of each edge term directly, and each later order
-(``advance_order``) combines up to four lower-order sets against every
-edge through the commutator kernel.  Edge terms are the model's
-``EdgeTerm``s, read in place: their endpoints, their operator's
-``rows`` and the kernels cached on that operator.
+point, a ``SolverState`` advanced order by order (``advance_order``).
+Each order is two steps, each written once.  ``_numerators`` sums the
+edge terms: order 1 reads the vacuum column of each edge term directly,
+and each later order combines up to four lower-order sets against every
+edge through the commutator kernel.  ``_divide`` divides each numerator
+by its set's excitation energy and drops exact zeros and entries under
+the threshold.  Edge terms are the model's ``EdgeTerm``s, read in
+place: their endpoints, their operator's ``rows`` and the kernels
+cached on that operator.
 
 Tuples of lower-order sets are enumerated as multisets in a fixed pool
 order with a 1/(multiplicity factorial) weight per repeated item, which
@@ -50,7 +53,7 @@ Each nonzero contribution c is folded into its target's numerator as
 ``acc.get(target, complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact
 additive identity (-0.0 + x is x, bit for bit, for +0.0 and -0.0
 too), so a target's first contribution is stored with its own bits,
-and later ones are added in visit order.  A frozen order's bins are
+and later ones are added in visit order.  An installed order's bins are
 built when an advance or a tangent pass first reads them, so the last
 order of a solve that stops is never indexed.  Excitation energies
 are summed again for each set, never cached.
@@ -65,11 +68,11 @@ each bin part.  One walk shaped like the solve's visits them in the
 same order on (value, derivative) pairs, only through tuples that hold
 a derivative or act through the observable edge, so only that edge and
 the model edges that meet a derivative set are walked.  It shares the
-solve's vacuum column, kernel slots and division by excitation
-energies.  The plain values the correlator reads at the top order, of
-{s}, {t} and {s, t}, come from ``site_values``: the solve's own pools
-(``_edge_pool``), kept to the sets within each edge plus {s, t}, the
-only ones that can reach them, and walked by ``_walk_edge``.
+solve's vacuum column, kernel slots and division (``_divide``).  The
+plain values the correlator reads at the top order, of {s}, {t} and
+{s, t}, come from ``site_values``: the solve's own order step, its
+numerators kept to {s, t} (each edge's pool to the sets within the edge
+plus {s, t}, the only ones that can reach them), then divided.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class SolverState:
 
     A new state holds no order; each ``advance_order`` adds the next,
     starting at order 1.  A threshold that is not a finite number >= 0
-    raises InvalidThreshold (see ``_freeze_order``).  Every edge term is
+    raises InvalidThreshold (see ``_divide``).  Every edge term is
     read from ``model.edges``, and its kernels from the slots cached on
     its operator (``kernel.edge_kernel``), so the state keeps no copy of
     either, and it keeps no cache: besides the model and its settings it
@@ -137,16 +140,6 @@ class SolverState:
         self.dropped = []
         self.threshold = threshold
 
-    def excitation_energy(self, mask):
-        """Sum of the model's ``deltas`` over the set, added in increasing vertex order."""
-        deltas = self.model.deltas
-        energy = 0.0
-        while mask:
-            low = mask & -mask
-            energy += deltas[low.bit_length() - 1]
-            mask ^= low
-        return energy
-
 
 def _vacuum_column(edges):
     """Order-1 numerators: each edge's vacuum column at {v}, {u} and {u, v}, summed over edges."""
@@ -161,38 +154,18 @@ def _vacuum_column(edges):
     return acc
 
 
-def _divide(state, acc):
-    """Divide numerators by excitation energies in place, drop exact zeros, return ``acc``.
+def _divide(deltas, acc, threshold):
+    """Divide numerators by excitation energies in place; return the order's norms.
 
-    The survivors keep their order.
+    ``acc`` maps vertex bitmasks to numerators.  One member list per set
+    serves the division by its excitation energy (the ``deltas`` of its
+    members, summed in increasing vertex order), the threshold and the
+    one-norm (largest per-vertex sum of magnitudes).  Exact zeros and
+    entries under ``threshold`` are deleted, so the survivors keep their
+    order, and each vertex's sum is added in the survivors' order, as
+    ``one_norm`` adds it in bin order.  Returns the one-norm, the number
+    of entries the threshold dropped and their one-norm.
     """
-    energy = state.excitation_energy
-    zeros = []
-    for mask, numerator in acc.items():
-        value = numerator / energy(mask)
-        if value == 0:
-            zeros.append(mask)
-        else:
-            acc[mask] = value
-    for mask in zeros:
-        del acc[mask]
-    return acc
-
-
-def _freeze_order(state, acc, order):
-    """Divide accumulated numerators by excitation energies and store them.
-
-    ``acc`` maps vertex bitmasks to numerators and becomes the order's
-    map: each numerator is divided, as ``_divide`` divides, and exact
-    zeros and entries under the threshold are deleted, so the survivors
-    keep their order.  One member list per set serves the division, the
-    threshold and the one-norm (largest per-vertex sum of magnitudes),
-    each vertex's sum added in the survivors' order, as ``one_norm``
-    adds it in bin order.  Dropped entries are counted, and their
-    one-norm goes to ``state.dropped``.
-    """
-    deltas = state.model.deltas
-    threshold = state.threshold
     totals = {}
     dropped = {}
     gone = []
@@ -223,19 +196,16 @@ def _freeze_order(state, acc, order):
     for total in totals.values():
         if total > norm:
             norm = total
-    install_order(state.table, order, acc)
-    state.current_order = order
-    state.norms.append(norm)
-    state.dropped.append((count, max(dropped.values(), default=0.0)))
+    return norm, count, max(dropped.values(), default=0.0)
 
 
-def _edge_pool(table, u, v, budget, within=-1):
+def _edge_pool(table, u, v, budget, within):
     """The edge (u, v)'s pool records of orders 1..budget, and each order's section end.
 
     A record is (order, outside bitmask, multiset code of its edge bits,
     value), built in one pass straight from the bins, each order as u's
     bin and then v's bin without u, keeping only the sets that lie in
-    the bitmask ``within`` (every set, by default).
+    the bitmask ``within`` (every set, if it is -1).
     ``ends[q]`` is the index past the last record of order q, so
     ``ends[0]`` is 0 and order q's section is ``ends[q - 1]:ends[q]``.
     """
@@ -327,28 +297,55 @@ def _walk_edge(edge, pool, ends, budget, acc):
     grow = None
 
 
+def _numerators(state, order, st):
+    """The order-``order`` numerators of the sets that lie in the bitmask ``st``.
+
+    Order 1 is the vacuum column of every edge term (``_vacuum_column``).
+    Above it, with budget b = order - 1, each edge (u, v) of
+    ``model.edges`` builds its pool of orders 1..b from the bins, kept to
+    the sets within uv | st (``_edge_pool``), walks it (``_walk_edge``)
+    if it is not empty, and frees it.  ``st`` = -1 keeps every set and
+    every target.  Otherwise a tuple that reaches a target within ``st``
+    has every item within its edge plus ``st``, and the kept records stay
+    in the bins' order, so each target's contributions arrive in the
+    order the full walk adds them; an edge that misses ``st`` adds only
+    to targets off it.  ``state`` must hold orders up to b.  Bins only
+    grow once an order is installed, so a pool is the same whichever
+    call builds it.
+    """
+    edges = state.model.edges
+    if order == 1:
+        acc = _vacuum_column(edges)
+    else:
+        budget = order - 1
+        if state.current_order < budget:
+            raise ValueError(f"state holds orders up to {state.current_order}, "
+                             f"order {order} needs {budget}")
+        table = state.table
+        acc = {}
+        for e in edges:
+            pool, ends = _edge_pool(table, e.u, e.v, budget, (1 << e.u) | (1 << e.v) | st)
+            if pool:
+                _walk_edge(e, pool, ends, budget, acc)
+    if st == -1:
+        return acc
+    return {mask: value for mask, value in acc.items() if not mask & ~st}
+
+
 def advance_order(state):
     """Extend the table by one order from the already stored ones.
 
-    A state with no order gets order 1, the vacuum column of each edge
-    term (``_vacuum_column``).  Otherwise, with budget b (the newest
-    stored order), each edge of ``model.edges`` builds its pool of
-    orders 1..b from the bins (``_edge_pool``), walks it
-    (``_walk_edge``) and frees it.  Bins only grow once an order is
-    installed, so the pool is the same whichever advance builds it.
+    The next order's numerators of every set (``_numerators``) are
+    divided with the state's threshold (``_divide``) and installed, and
+    the order's one-norm and what the threshold dropped are recorded.
     """
-    budget = state.current_order
-    edges = state.model.edges
-    if budget == 0:
-        _freeze_order(state, _vacuum_column(edges), 1)
-        return state
-    table = state.table
-    acc = {}
-    for e in edges:
-        pool, ends = _edge_pool(table, e.u, e.v, budget)
-        if pool:
-            _walk_edge(e, pool, ends, budget, acc)
-    _freeze_order(state, acc, budget + 1)
+    order = state.current_order + 1
+    acc = _numerators(state, order, -1)
+    norm, count, lost = _divide(state.model.deltas, acc, state.threshold)
+    install_order(state.table, order, acc)
+    state.current_order = order
+    state.norms.append(norm)
+    state.dropped.append((count, lost))
     return state
 
 
@@ -356,32 +353,13 @@ def site_values(state, s, t, order):
     """The plain order-``order`` values of {s}, {t} and {s, t}, keyed by bitmask.
 
     Each is the value ``advance_order`` would store (at threshold 0),
-    bit for bit, and an exact zero is left out.  ``state`` must hold
-    orders up to order - 1.  Order 1 is the vacuum column of the edges
-    on s or t.  Above it, an edge's pool is ``_edge_pool``'s, kept to
-    the sets that lie within the edge plus {s, t}: a tuple that reaches
-    a target within {s, t} has every item there.  The kept records stay
-    in the bins' order, so these pools visit the tuples in the solve's
-    order, and the edges come in the model's order.  An edge is walked
-    (``_walk_edge``) only if it touches s or t or one of its records has
-    a vertex off it; any other edge adds only to targets off {s, t}.
+    bit for bit, and an exact zero is left out: the same numerators
+    (``_numerators``, kept to {s, t}) and the same division.  ``state``
+    must hold orders up to order - 1.
     """
-    st = (1 << s) | (1 << t)
-    edges = state.model.edges
-    if order == 1:
-        acc = _vacuum_column([e for e in edges if ((1 << e.u) | (1 << e.v)) & st])
-    else:
-        budget = order - 1
-        if state.current_order < budget:
-            raise ValueError(f"state holds orders up to {state.current_order}, "
-                             f"site values of order {order} need {budget}")
-        acc = {}
-        for e in edges:
-            uv = (1 << e.u) | (1 << e.v)
-            pool, ends = _edge_pool(state.table, e.u, e.v, budget, uv | st)
-            if uv & st or any(rec[1] for rec in pool):
-                _walk_edge(e, pool, ends, budget, acc)
-    return _divide(state, {mask: value for mask, value in acc.items() if not mask & ~st})
+    acc = _numerators(state, order, (1 << s) | (1 << t))
+    _divide(state.model.deltas, acc, 0.0)
+    return acc
 
 
 def times(av, ad, bv, bd):
@@ -489,7 +467,9 @@ def tangent_pass(state, edge, order):
     top = state.current_order
     if top < order - 1:
         raise ValueError(f"state holds orders up to {top}, the pass needs {order - 1}")
-    tangents = {1: _divide(state, _vacuum_column((edge,)))}
+    deltas = state.model.deltas
+    tangents = {1: _vacuum_column((edge,))}
+    _divide(deltas, tangents[1], 0.0)
     edges = state.model.edges + (edge,)
     obs_idx = len(edges) - 1
     bins = table.bins
@@ -532,7 +512,8 @@ def tangent_pass(state, edge, order):
                              + [m for m in extra if m & bv and not m & bu])
                 tp.add_section(masks, table.orders.get(q, {}), u, v, q, tangents[q], last)
             _tangent_edge(e, tp, budget, obs, last, acc)
-        tangents[k] = _divide(state, acc)
+        _divide(deltas, acc, 0.0)
+        tangents[k] = acc
     return tangents
 
 
@@ -629,7 +610,7 @@ def solve(model, order, threshold=0.0):
 
     A new ``SolverState`` advanced ``order`` times.  Entries whose
     magnitude falls below ``threshold`` are dropped (see
-    ``_freeze_order``); a threshold that is not a finite number >= 0
+    ``_divide``); a threshold that is not a finite number >= 0
     raises InvalidThreshold.
     """
     if order < 1:

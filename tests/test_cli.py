@@ -337,7 +337,13 @@ def test_correlate_observable_from_file(capsys, tf_path, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc", [{"foo": 1}, {"pauli": 5}, {"matrix": [[1, 2], [3, 4]]}, [1, 2, 3]]
+    "doc",
+    [
+        {"foo": 1}, {"pauli": 5}, {"matrix": [[1, 2], [3, 4]]}, [1, 2, 3],
+        # both keys, each valid alone, as a model edge with both is rejected
+        {"pauli": "ZI",
+         "matrix": [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]},
+    ],
 )
 def test_bad_observable_file_exits_2(capsys, tf_path, tmp_path, doc):
     obs = tmp_path / "obs.json"
@@ -384,6 +390,8 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
         ("vertices", [{"id": 0, "delta": 1.0}, {"id": 1, "delta": True}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[True, 0.0]] + matrix[0][1:]] + matrix[1:]}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[0.0, "0.5"]] + matrix[0][1:]] + matrix[1:]}]),
+        # a cell with a third part, which would otherwise be dropped unread
+        ("edges", [{"u": 0, "v": 1, "matrix": [[[0.0, 0.0, 7]] + matrix[0][1:]] + matrix[1:]}]),
         # a JSON integer too large for a double
         ("vertices", [{"id": 0, "delta": 10**400}, {"id": 1, "delta": 1.0}]),
         ("edges", [{"u": 0, "v": 1, "matrix": [[[10**400, 0.0]] + matrix[0][1:]] + matrix[1:]}]),
@@ -396,9 +404,9 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path, tf_path):
         assert main(["info", str(broken), "--json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
     # an observable file's cells are read as the model's are: the identity
-    # with a bool or an overflowing part in its first cell is rejected
+    # with a bool, an overflowing or a third part in its first cell is rejected
     identity = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
-    for i, cell in enumerate(([True, False], [0.0, 10**400])):
+    for i, cell in enumerate(([True, False], [0.0, 10**400], [1.0, 0.0, 7])):
         obs = tmp_path / f"obs-{i}.json"
         obs.write_text(json.dumps({"matrix": [[cell] + identity[0][1:]] + identity[1:]}))
         argv = ["correlate", tf_path, "--s", "0", "--t", "1", "--observable", str(obs),

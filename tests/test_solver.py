@@ -16,7 +16,9 @@ from ktspin.energy import series_from_state
 from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import bin_candidates, dump_coefficients, members_of, one_norm, table_lookup
 from ktspin.kernel import CODE
-from ktspin.solver import SolverState, _edge_pool, advance_order, tangent_pass
+from ktspin.solver import (
+    SolverState, _divide, _edge_pool, advance_order, site_values, tangent_pass,
+)
 from conftest import (
     make_model,
     random_hermitian_op,
@@ -206,7 +208,7 @@ def test_an_edge_pool_holds_its_bin_candidates_order_by_order(rng):
     table = solve(m, p).table
     for e in m.edges:
         bu, bv = 1 << e.u, 1 << e.v
-        pool, ends = _edge_pool(table, e.u, e.v, p)
+        pool, ends = _edge_pool(table, e.u, e.v, p, -1)
         assert ends[0] == 0 and ends[p] == len(pool)
         for q in range(1, p + 1):
             want = [
@@ -236,14 +238,40 @@ def test_excitation_energy_is_the_left_to_right_sum(rng):
             total = total + m.deltas[w]
         return total
 
+    def divided(state, mask):
+        # a numerator of 1 divides to 1 / (the set's excitation energy)
+        acc = {mask: 1 + 0j}
+        _divide(state.model.deltas, acc, 0.0)
+        return acc[mask]
+
     cold = SolverState(m, 0.0)
     warm = solve(m, 3)
     for state in (cold, warm):
         for mask in masks:
-            assert state.excitation_energy(mask) == plain(mask)
+            assert divided(state, mask) == 1 / plain(mask)
     # once more: the sums computed above leave nothing behind that changes them
     for mask in masks:
-        assert cold.excitation_energy(mask) == plain(mask)
+        assert divided(cold, mask) == 1 / plain(mask)
+
+
+def test_site_values_and_tangent_pass_need_the_lower_orders(rng):
+    # both read the tables of orders 1..order - 1 and refuse a state that
+    # holds fewer; order 1 needs none
+    m = random_model(rng, topology_pairs("ring", 6), 6)
+    edge = EdgeTerm(0, 1, TwoQubitOperator(random_hermitian_op(rng)))
+    state = solve(m, 2)
+    for order in (4, 5):
+        with pytest.raises(ValueError):
+            site_values(state, 0, 1, order)
+        with pytest.raises(ValueError):
+            tangent_pass(state, edge, order)
+    cold = SolverState(m, 0.0)
+    with pytest.raises(ValueError):
+        site_values(cold, 0, 3, 2)
+    with pytest.raises(ValueError):
+        tangent_pass(cold, edge, 2)
+    assert site_values(cold, 0, 3, 1) == site_values(state, 0, 3, 1)
+    assert site_values(state, 0, 3, 3) and tangent_pass(state, edge, 3)[3]
 
 
 def test_norms_track_one_norm(rng):
