@@ -5,8 +5,8 @@ derivative of the ground energy after adding the observable, scaled by
 a formal strength, as a parallel edge (s, t).  That derivative comes
 from two tables:
 
-- a plain value table, ``solve(model, max(p - 1, 1))``, with no
-  observable edge;
+- a plain value table to order max(p - 1, 1), with no observable
+  edge, its top order kept to the light cone's reach (below);
 - a sparse tangent table from ``solver.tangent_pass``: the derivative
   of every coefficient that depends on the observable edge, an
   ``EdgeTerm`` walked after the model's edges, for orders 1..p.  It
@@ -42,6 +42,24 @@ enumerated in the same relative order, since the renumbering keeps
 vertex and edge order.  One hop less drops an edge of some order-p
 cluster and changes the answer.
 
+The value table's top order p - 1 needs less than that: for p >= 3 the
+restricted solve stores it only on the sets within p - 1 hops of
+{s, t} (``solver.advance_within``), and records no one-norm for it.
+Every reader of that order reads only such sets:
+
+- the site values and the observable edge's last-step section read
+  sets that meet {s, t}, and an order-(p-1) set is covered by p - 1
+  edges, so it spans at most p - 1 hops;
+- a model edge's last-step section reads only derivative sets, which
+  lie within p - 2 hops;
+- the energy rows read top-order values only at {s}, {t} and {s, t};
+  a model row uses only the derivative channel there.
+
+A kept set has the uncapped value, bit for bit, and the kept sets keep
+their relative map and bin order, so every reader sees what it saw in
+the uncapped table.  At p <= 2 the top order is the vacuum column,
+solved whole; ``restrict=False`` solves the whole model uncapped.
+
 Only the tangent pass sees the observable, so a run of queries on one
 model reuses the rest:
 
@@ -52,10 +70,10 @@ model reuses the rest:
   walks the query's own operator, and its kernels serve the next query
   that holds it;
 - the model holds its last light-cone entry, keyed by (s, t, p,
-  restrict): the renumbered sites, the order-(p-1) value solve and the
-  sites' order-p values (``solver.site_values``), and the next query
-  with the same key reuses all three.  It is one entry, dropped before
-  another solve starts.
+  restrict): the renumbered sites, the order-(p-1) value solve (top
+  order capped) and the sites' order-p values (``solver.site_values``),
+  and the next query with the same key reuses all three.  It is one
+  entry, dropped before another solve starts.
 
 Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
@@ -84,7 +102,7 @@ from .errors import (
 )
 from .energy import energy_terms, vacuum_rows
 from .model import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
-from .solver import site_values, solve, tangent_pass
+from .solver import advance_within, site_values, solve, tangent_pass
 
 
 def _check_strength(eps):
@@ -167,9 +185,11 @@ def restrict_neighborhood(model, s, t, order):
 def _light_cone_solve(model, s, t, p, restrict):
     """(s, t renumbered, order-(p-1) value solve, site values) of a query's light cone.
 
-    The site values are ``solver.site_values`` of the renumbered sites at
-    order p.  The model holds the last entry, and a query with the same
-    sites, order and ``restrict`` reuses it.  Any other query drops it
+    With ``restrict`` and p >= 3 the top order holds only the sets within
+    p - 1 hops of {s, t} (see the module docstring).  The site values are
+    ``solver.site_values`` of the renumbered sites at order p.  The model
+    holds the last entry, and a query with the same sites, order and
+    ``restrict`` reuses it.  Any other query drops it
     before it restricts and solves, so at most one such state is alive,
     and then holds its own.
     """
@@ -185,7 +205,13 @@ def _light_cone_solve(model, s, t, p, restrict):
         s, t = mapping[s], mapping[t]
     else:
         sub = model
-    state = solve(sub, max(p - 1, 1))
+    if restrict and p >= 3:
+        # the top order kept to the sets within p - 1 hops of {s, t}
+        state = solve(sub, p - 2)
+        dist = distances(AdjacencyGraph.from_model(sub), (s, t))
+        advance_within(state, sum(1 << w for w, d in enumerate(dist) if d <= p - 1))
+    else:
+        state = solve(sub, max(p - 1, 1))
     values = site_values(state, s, t, p)
     object.__setattr__(model, "_light_cone", (key, s, t, state, values))
     return s, t, state, values

@@ -4,7 +4,8 @@ The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
-point, a ``SolverState`` advanced order by order (``advance_order``).
+point, a ``SolverState`` advanced order by order (``advance_order``,
+or ``advance_within`` for an order kept to a bitmask).
 Each order is two steps, each written once.  ``_numerators`` sums the
 edge terms: order 1 reads the vacuum column of each edge term directly,
 and each later order combines up to four lower-order sets against every
@@ -49,6 +50,9 @@ sections of orders 1..r: those below r extend it, and order r closes
 it, so no record of a higher order is visited.  An edge maps each
 kernel's edge-bit patterns onto its own bitmasks once per multiset
 code, not once per contribution, and frees that map with the pool.
+An order step kept to a bitmask (the site values, and the correlator's
+capped top order) keeps only the patterns whose edge bits lie in it,
+since a pattern off it gives targets that are dropped.
 Each nonzero contribution c is folded into its target's numerator as
 ``acc.get(target, complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact
 additive identity (-0.0 + x is x, bit for bit, for +0.0 and -0.0
@@ -67,8 +71,11 @@ with the sets only the derivative tables hold after the stored sets of
 each bin part.  One walk shaped like the solve's visits them in the
 same order on (value, derivative) pairs, only through tuples that hold
 a derivative or act through the observable edge, so only that edge and
-the model edges that meet a derivative set are walked.  It shares the
-solve's vacuum column, kernel slots and division (``_divide``).  The
+the model edges that meet a derivative set are walked.  At the last
+step, which keeps only targets of at most two vertices, a leaf skips
+the kernel patterns that would give a larger target before computing
+their contributions.  It shares the solve's vacuum column, kernel
+slots and division (``_divide``).  The
 plain values the correlator reads at the top order, of {s}, {t} and
 {s, t}, come from ``site_values``: the solve's own order step, its
 numerators kept to {s, t} (each edge's pool to the sets within the edge
@@ -91,6 +98,10 @@ _LIVE_MULTISETS = (
     (1, 1, 2), (1, 2, 2),
     (1, 1, 2, 2),
 )
+
+
+# vertices of each edge-bit pattern: none, second endpoint, first, both
+_PATTERN_SIZE = (0, 1, 1, 2)
 
 
 def _code(sbits):
@@ -230,7 +241,7 @@ def _edge_pool(table, u, v, budget, within):
     return pool, ends
 
 
-def _walk_edge(edge, pool, ends, budget, acc):
+def _walk_edge(edge, pool, ends, budget, acc, st):
     """Add the edge's tuples of total order ``budget``, drawn from ``pool``, to ``acc``.
 
     ``pool`` and ``ends`` are records and section ends as ``_edge_pool``
@@ -241,9 +252,13 @@ def _walk_edge(edge, pool, ends, budget, acc):
     leaf reads its kernel from the slot of its multiset code on the
     edge's operator, filled on first use by ``kernel.edge_kernel``; the
     walk maps that kernel's edge-bit patterns onto the edge's bitmasks
-    once per code.  Each nonzero contribution is added to its target's
-    numerator in visit order, the first one onto complex(-0.0, -0.0),
-    which stores it with its own bits (see the module docstring).
+    once per code, keeping only the patterns whose edge bits lie in the
+    bitmask ``st`` (every pattern, if it is -1): the others give targets
+    off ``st``, which an order step kept to ``st`` never keeps.  Each
+    nonzero contribution
+    is added to its target's numerator in visit order, the first one onto
+    complex(-0.0, -0.0), which stores it with its own bits (see the module
+    docstring).
     """
     acc_get = acc.get
     # the exact additive identity: -0.0 + x is x, bit for bit, +0.0 and -0.0 included
@@ -251,6 +266,7 @@ def _walk_edge(edge, pool, ends, budget, acc):
     u, v, op = edge.u, edge.v, edge.op
     kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
+    beyond = ~st
     target_masks = [None] * NCODES
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
@@ -282,7 +298,8 @@ def _walk_edge(edge, pool, ends, budget, acc):
                 mes = kernels[code2]
                 if mes is None:
                     mes = edge_kernel(op, code2)
-                targets = target_masks[code2] = [(bit_masks[p], me) for p, me in mes]
+                targets = target_masks[code2] = [(bit_masks[p], me) for p, me in mes
+                                                 if not bit_masks[p] & beyond]
             outside2 = outside | mask
             for bits, me in targets:
                 target = outside2 | bits
@@ -303,33 +320,34 @@ def _numerators(state, order, st):
     Order 1 is the vacuum column of every edge term (``_vacuum_column``).
     Above it, with budget b = order - 1, each edge (u, v) of
     ``model.edges`` builds its pool of orders 1..b from the bins, kept to
-    the sets within uv | st (``_edge_pool``), walks it (``_walk_edge``)
-    if it is not empty, and frees it.  ``st`` = -1 keeps every set and
-    every target.  Otherwise a tuple that reaches a target within ``st``
+    the sets within uv | st (``_edge_pool``), walks it (``_walk_edge``,
+    which skips the kernel patterns off ``st``) if it is not empty, and
+    frees it.  ``st`` = -1 keeps every set, every pattern and every
+    target.  Otherwise a tuple that reaches a target within ``st``
     has every item within its edge plus ``st``, and the kept records stay
     in the bins' order, so each target's contributions arrive in the
-    order the full walk adds them; an edge that misses ``st`` adds only
-    to targets off it.  ``state`` must hold orders up to b.  Bins only
-    grow once an order is installed, so a pool is the same whichever
-    call builds it.
+    order the full walk adds them.  Every target the walks reach lies in
+    ``st``: so do its items' outside parts and its pattern's edge bits.
+    ``state`` must hold orders up to b.  Bins only grow once an order is
+    installed, so a pool is the same whichever call builds it.
     """
     edges = state.model.edges
     if order == 1:
         acc = _vacuum_column(edges)
-    else:
-        budget = order - 1
-        if state.current_order < budget:
-            raise ValueError(f"state holds orders up to {state.current_order}, "
-                             f"order {order} needs {budget}")
-        table = state.table
-        acc = {}
-        for e in edges:
-            pool, ends = _edge_pool(table, e.u, e.v, budget, (1 << e.u) | (1 << e.v) | st)
-            if pool:
-                _walk_edge(e, pool, ends, budget, acc)
-    if st == -1:
-        return acc
-    return {mask: value for mask, value in acc.items() if not mask & ~st}
+        if st == -1:
+            return acc
+        return {mask: value for mask, value in acc.items() if not mask & ~st}
+    budget = order - 1
+    if state.current_order < budget:
+        raise ValueError(f"state holds orders up to {state.current_order}, "
+                         f"order {order} needs {budget}")
+    table = state.table
+    acc = {}
+    for e in edges:
+        pool, ends = _edge_pool(table, e.u, e.v, budget, (1 << e.u) | (1 << e.v) | st)
+        if pool:
+            _walk_edge(e, pool, ends, budget, acc, st)
+    return acc
 
 
 def advance_order(state):
@@ -339,12 +357,23 @@ def advance_order(state):
     divided with the state's threshold (``_divide``) and installed, and
     the order's one-norm and what the threshold dropped are recorded.
     """
+    return advance_within(state, -1)
+
+
+def advance_within(state, within):
+    """``advance_order`` that stores only the next order's sets lying in the bitmask ``within``.
+
+    The numerators are ``_numerators(state, order, within)``, so each
+    kept set gets the value ``advance_order`` would store, bit for bit,
+    in the same relative map order.  Its one-norm, of a partial order,
+    is recorded as None unless ``within`` is -1.
+    """
     order = state.current_order + 1
-    acc = _numerators(state, order, -1)
+    acc = _numerators(state, order, within)
     norm, count, lost = _divide(state.model.deltas, acc, state.threshold)
     install_order(state.table, order, acc)
     state.current_order = order
-    state.norms.append(norm)
+    state.norms.append(norm if within == -1 else None)
     state.dropped.append((count, lost))
     return state
 
@@ -451,12 +480,13 @@ def tangent_pass(state, edge, order):
     keeps only sets of at most two vertices: with the lower tables and
     the site values, that is all the next energy coefficient reads.  So
     the sections an edge builds at the last step keep only records with
-    at most two vertices off the edge.  A lone top-order record with no
-    derivative carries nothing on a model edge, so there the last step's
-    top-order section holds only the derivative sets that meet the edge,
-    binned by vertex from the top order's map order with the
-    derivative-only ones after them, as that edge's bins would place
-    them.
+    at most two vertices off the edge, and a leaf there skips the kernel
+    patterns that would give a target of more than two vertices.  A lone
+    top-order record with no derivative carries nothing on a model edge,
+    so there the last step's top-order section holds only the derivative
+    sets that meet the edge, binned by vertex from the top order's map
+    order with the derivative-only ones after them, as that edge's bins
+    would place them.
 
     A set whose value is exactly zero but whose derivative is not goes
     after the value table's sets in each bin, not where its first
@@ -545,7 +575,12 @@ def _tangent_edge(edge, tp, budget, obs, last, acc):
             wd = None if cd2 is None else cd2 / denom2
         else:
             wv, wd = cv2, cd2
+        # the last step keeps targets of at most two vertices; outside2 is
+        # off the edge, so each pattern adds its own vertices to it
+        room = 2 - outside2.bit_count() if last else 2
         for pattern, me in mes:
+            if _PATTERN_SIZE[pattern] > room:
+                continue
             target = outside2 | bit_masks[pattern]
             if not target:
                 continue
@@ -555,7 +590,7 @@ def _tangent_edge(edge, tp, budget, obs, last, acc):
             else:
                 # a model edge's leaf always carries a derivative
                 dc = wd * me
-            if dc != 0 and not (last and target.bit_count() > 2):
+            if dc != 0:
                 prev = acc.get(target)
                 acc[target] = dc if prev is None else prev + dc
 
@@ -603,6 +638,8 @@ def _tangent_edge(edge, tp, budget, obs, last, acc):
             emit(outside2, code2, cv2, cd2, denom * (run + 1) if i == last_i else denom)
 
     walk(0, budget, 0, 0, 1.0, None, 1, -1, 0)
+    # walk refers to itself; dropping it frees the pass's records on return
+    walk = None
 
 
 def solve(model, order, threshold=0.0):

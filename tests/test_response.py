@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +30,8 @@ from ktspin.kernel import CODE
 from ktspin.model import parse_pauli_expression
 from ktspin.oracle import expectation, ground
 from ktspin.certificate import REGIME_CERTIFIED, REGIME_NONE
-from ktspin.setalg import bin_candidates
+from ktspin.clusters import AdjacencyGraph, distances
+from ktspin.setalg import bin_candidates, members_of
 from ktspin.solver import site_values, tangent_pass
 from conftest import (
     grid_pairs,
@@ -161,6 +165,92 @@ def test_restriction_is_bit_identical(rng):
                 cut = correlator(m, q, restrict=True)
                 assert cut.value == full.value, (s, t, order)
                 assert cut.coefficients == full.coefficients, (s, t, order)
+
+
+def test_restriction_is_bit_identical_at_the_benchmark_scale():
+    # a 200-vertex ring plus a perfect matching avoiding ring-adjacent pairs
+    # (degree 3), the family of the benchmark's model: the capped light cone
+    # must give the whole model's answers, bit for bit
+    n = 200
+    py_rng = random.Random(2022)
+    while True:
+        verts = list(range(n))
+        py_rng.shuffle(verts)
+        matching = [(verts[2 * i], verts[2 * i + 1]) for i in range(n // 2)]
+        if all((u - v) % n not in (1, n - 1) for u, v in matching):
+            break
+    rng = np.random.default_rng(2022)
+    m = random_model(rng, topology_pairs("ring", n) + matching, n)
+    assert m.d == 3
+    observables = (parse_pauli_expression("ZZ"), random_hermitian_op(rng))
+    eps = m.eps0_star / (2 * m.d)
+    # two ring edges, two matching edges, and two sites two hops apart
+    pairs = [(e.u, e.v) for e in (m.edges[0], m.edges[77], m.edges[n], m.edges[n + 61])]
+    far = py_rng.randrange(n)
+    pairs.append((far, (far + 2) % n))
+    for s, t in pairs:
+        # both observables per side, so each side solves each cone once
+        full = [correlator(m, query(s, t, obs, eps, 4), restrict=False) for obs in observables]
+        cut = [correlator(m, query(s, t, obs, eps, 4), restrict=True) for obs in observables]
+        for a, b in zip(cut, full):
+            assert a.value == b.value, (s, t)
+            assert a.coefficients == b.coefficients, (s, t)
+            assert a.bound == b.bound, (s, t)
+
+
+def test_the_held_light_cone_caps_its_top_order(rng):
+    # the held state stores its top order p - 1 only within p - 1 hops of
+    # the sites, records no one-norm for it, and keeps every lower order and
+    # the site values of the uncapped cone
+    cut_somewhere = False
+    for m in (random_model(rng, grid_pairs(4, 4), 16),
+              random_model(rng, topology_pairs("ring", 14), 14)):
+        obs = random_hermitian_op(rng)
+        eps = m.eps0_star / (2 * m.d)
+        for s, t in ((0, 1), (5, 10)):
+            for p in (3, 4, 5):
+                correlator(m, query(s, t, obs, eps, p))
+                key, rs, rt, state, values = m._light_cone
+                assert key == (s, t, p, True)
+                sub, mapping = restrict_neighborhood(m, s, t, p - 1)
+                assert (rs, rt) == (mapping[s], mapping[t])
+                dist = distances(AdjacencyGraph.from_model(sub), (rs, rt))
+                top = state.table.orders[p - 1]
+                assert state.current_order == p - 1
+                assert all(dist[w] <= p - 1 for mask in top for w in members_of(mask))
+                assert state.norms[p - 2] is None
+                lower = solve(sub, p - 2)
+                assert state.norms[:p - 2] == lower.norms
+                for q in range(1, p - 1):
+                    assert (list(state.table.orders[q].items())
+                            == list(lower.table.orders[q].items()))
+                uncapped = solve(sub, p - 1)
+                whole = uncapped.table.orders[p - 1]
+                assert list(top.items()) == [
+                    (mask, value) for mask, value in whole.items()
+                    if all(dist[w] <= p - 1 for w in members_of(mask))
+                ]
+                cut_somewhere |= len(top) < len(whole)
+                uncapped_values = site_values(uncapped, rs, rt, p)
+                assert list(values.items()) == list(uncapped_values.items())
+    assert cut_somewhere
+
+
+def test_a_query_and_a_solve_leave_no_reference_cycles(rng):
+    # a query's work, the tangent pass's walks included, is freed on return,
+    # not left for the collector
+    m = random_model(rng, grid_pairs(3, 3), 9)
+    obs = random_hermitian_op(rng)
+    gc.collect()
+    gc.disable()
+    try:
+        correlator(m, query(0, 1, obs, m.eps0_star / (2 * m.d), 4))
+        assert gc.collect() == 0
+        state = solve(m, 4)
+        del state
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _cold_copy(m):
