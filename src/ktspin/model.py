@@ -177,8 +177,8 @@ class SpinModel:
     - ``d``: the largest number of incident edges, counted with multiplicity;
     - ``hermitian``: whether every edge operator is Hermitian.
 
-    The model also holds ``response.correlator``'s last light-cone entry
-    (its value solve and site values), one entry that the next query on
+    The model also holds ``response.correlator``'s last restricted
+    light-cone entry (its value solve), one entry that the next query on
     the same sites and order reuses; it is no part of the model's value.
 
     Raises NonPositiveGap, ParseError (non-finite field), DanglingVertexId

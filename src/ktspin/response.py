@@ -5,8 +5,8 @@ derivative of the ground energy after adding the observable, scaled by
 a formal strength, as a parallel edge (s, t).  That derivative comes
 from two tables:
 
-- a plain value table to order max(p - 1, 1), with no observable
-  edge, its top order kept to the light cone's reach (below);
+- a plain value table to order p, with no observable edge, its orders
+  p - 1 and p kept to what is read of them (below);
 - a sparse tangent table from ``solver.tangent_pass``: the derivative
   of every coefficient that depends on the observable edge, an
   ``EdgeTerm`` walked after the model's edges, for orders 1..p.  It
@@ -14,11 +14,12 @@ from two tables:
   through the observable edge, in the solver's pool and visit order.
 
 E_{q+1} reads order q only on sets of at most two vertices, so the
-last order p keeps only those.  Its only values that are read (the
-observable edge's vacuum row at {s}, {t} and {s, t}) are the plain
-order-p values of those three sets, which do not depend on the
-observable: ``solver.site_values`` computes them bit for bit as the
-solve would store them.  Each response coefficient is then the
+tangent table's last order p keeps only those.  The only order-p values
+that are read (the observable edge's vacuum row at {s}, {t} and
+{s, t}) are the plain values of those three sets, which do not depend
+on the observable: the value table's last order step is kept to
+{s, t}, and stores them bit for bit as an uncapped step would.  Each
+response coefficient is then the
 derivative channel of ``energy.energy_terms``, summed term by term in
 the energy's order: the product rule ``a.val*b.der + a.der*b.val`` of
 ``solver.times``, and a coefficient that is exactly zero in both
@@ -42,14 +43,14 @@ enumerated in the same relative order, since the renumbering keeps
 vertex and edge order.  One hop less drops an edge of some order-p
 cluster and changes the answer.
 
-The value table's top order p - 1 needs less than that: for p >= 3 the
+The value table's order p - 1 needs less than that: for p >= 3 the
 restricted solve stores it only on the sets within p - 1 hops of
-{s, t} (``solver.advance_within``), and records no one-norm for it.
-Every reader of that order reads only such sets:
+{s, t} (``solver.advance_order`` kept to that ball), and records no
+one-norm for it.  Every reader of that order reads only such sets:
 
-- the site values and the observable edge's last-step section read
-  sets that meet {s, t}, and an order-(p-1) set is covered by p - 1
-  edges, so it spans at most p - 1 hops;
+- the order-p step kept to {s, t} and the observable edge's last-step
+  section read sets that meet {s, t}, and an order-(p-1) set is
+  covered by p - 1 edges, so it spans at most p - 1 hops;
 - a model edge's last-step section reads only derivative sets, which
   lie within p - 2 hops;
 - the energy rows read top-order values only at {s}, {t} and {s, t};
@@ -57,8 +58,10 @@ Every reader of that order reads only such sets:
 
 A kept set has the uncapped value, bit for bit, and the kept sets keep
 their relative map and bin order, so every reader sees what it saw in
-the uncapped table.  At p <= 2 the top order is the vacuum column,
-solved whole; ``restrict=False`` solves the whole model uncapped.
+the uncapped table.  At p <= 2 order p - 1 is the vacuum column (or
+none), solved whole; ``restrict=False`` solves the whole model with
+only order p kept to {s, t}.  Either way the light cone is one
+``solver.SolverState``, advanced once per order.
 
 Only the tangent pass sees the observable, so a run of queries on one
 model reuses the rest:
@@ -69,18 +72,17 @@ model reuses the rest:
   So does the observable: a query whose observable needs no rescaling
   walks the query's own operator, and its kernels serve the next query
   that holds it;
-- the model holds its last light-cone entry, keyed by (s, t, p,
-  restrict): the renumbered sites, the order-(p-1) value solve (top
-  order capped) and the sites' order-p values (``solver.site_values``),
-  and the next query with the same key reuses all three.  It is one
-  entry, dropped before another solve starts.
+- the model holds the last restricted light cone, keyed by (s, t, p,
+  restrict): the renumbered sites and the cone's state, and the next
+  query with the same key reuses both.  It is one entry, dropped before
+  another solve starts.  An unrestricted cone is not held: its state
+  holds the model itself, which would make a reference cycle.
 
 Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
-order, and patterns name no vertex.  ``tangent_pass`` and
-``site_values`` only read the state's tables and bins; the caches they
-fill are pure functions of the model and the operators, so a reused
-state, and the site values held with it, are what a new solve would
+order, and patterns name no vertex.  ``tangent_pass`` only reads the
+state's tables and bins; the caches it fills are pure functions of the
+model and the operators, so a reused state is what a new solve would
 build.
 """
 
@@ -102,7 +104,7 @@ from .errors import (
 )
 from .energy import energy_terms, vacuum_rows
 from .model import EdgeTerm, SpinModel, TwoQubitOperator, Vertex
-from .solver import advance_within, site_values, solve, tangent_pass
+from .solver import SolverState, advance_order, tangent_pass
 
 
 def _check_strength(eps):
@@ -183,15 +185,14 @@ def restrict_neighborhood(model, s, t, order):
 
 
 def _light_cone_solve(model, s, t, p, restrict):
-    """(s, t renumbered, order-(p-1) value solve, site values) of a query's light cone.
+    """(s, t renumbered, value state) of a query's light cone.
 
-    With ``restrict`` and p >= 3 the top order holds only the sets within
-    p - 1 hops of {s, t} (see the module docstring).  The site values are
-    ``solver.site_values`` of the renumbered sites at order p.  The model
-    holds the last entry, and a query with the same sites, order and
-    ``restrict`` reuses it.  Any other query drops it
-    before it restricts and solves, so at most one such state is alive,
-    and then holds its own.
+    One ``SolverState`` advanced once per order up to p.  Order p is kept
+    to {s, t}, and with ``restrict`` and p >= 3 order p - 1 to the sets
+    within p - 1 hops of {s, t} (see the module docstring).  The model
+    holds the last restricted entry, and a query with the same sites,
+    order and ``restrict`` reuses it.  Any other query drops it before
+    it restricts and solves, so at most one such state is alive.
     """
     key = (s, t, p, restrict)
     held = model._light_cone
@@ -205,28 +206,28 @@ def _light_cone_solve(model, s, t, p, restrict):
         s, t = mapping[s], mapping[t]
     else:
         sub = model
+    masks = [-1] * (p - 1) + [(1 << s) | (1 << t)]
     if restrict and p >= 3:
-        # the top order kept to the sets within p - 1 hops of {s, t}
-        state = solve(sub, p - 2)
         dist = distances(AdjacencyGraph.from_model(sub), (s, t))
-        advance_within(state, sum(1 << w for w, d in enumerate(dist) if d <= p - 1))
-    else:
-        state = solve(sub, max(p - 1, 1))
-    values = site_values(state, s, t, p)
-    object.__setattr__(model, "_light_cone", (key, s, t, state, values))
-    return s, t, state, values
+        masks[p - 2] = sum(1 << w for w, d in enumerate(dist) if d <= p - 1)
+    state = SolverState(sub, 0.0)
+    for within in masks:
+        advance_order(state, within)
+    if restrict:
+        object.__setattr__(model, "_light_cone", (key, s, t, state))
+    return s, t, state
 
 
-def _response_coefficients(state, edge, p, last_values):
+def _response_coefficients(state, edge, p):
     """Response coefficients 0..p: derivatives of E_1..E_{p+1} along the observable ``edge``.
 
-    ``last_values`` holds the order-p values of {s}, {t} and {s, t}
-    (``solver.site_values``).  A model edge with no derivative on {u},
-    {v} or {u, v} at any order yields no derivative term, so it gets no
-    energy row.
+    The values of orders 0..p are read from ``state.table``, order p
+    holding {s}, {t} and {s, t} only.  A model edge with no derivative
+    on {u}, {v} or {u, v} at any order yields no derivative term, so it
+    gets no energy row.
     """
     tangents = tangent_pass(state, edge, p)
-    values = [state.table.orders.get(q, {}) for q in range(p)] + [last_values]
+    values = [state.table.orders.get(q, {}) for q in range(p + 1)]
 
     def lookup(q, mask):
         return values[q].get(mask, 0), tangents[q].get(mask)
@@ -256,9 +257,9 @@ def correlator(model, query, restrict=True):
     bound are scaled back, so callers never see the rescaling.  A NaN or
     infinite strength raises NonFiniteStrength.  Outside the certified
     regime, or when the value comes out non-finite, the bound is None
-    and a UserWarning names the reason.  The value solve of the query's
-    light cone stays on the model for the next query (see the module
-    docstring).
+    and a UserWarning names the reason.  The value solve of a restricted
+    query's light cone stays on the model for the next query (see the
+    module docstring).
     """
     n = model.n
     s, t = query.s, query.t
@@ -279,8 +280,8 @@ def correlator(model, query, restrict=True):
     if p == 0:
         ders = [run_op.rows[0][0]]
     else:
-        rs, rt, state, values = _light_cone_solve(model, s, t, p, restrict)
-        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p, values)
+        rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
+        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p)
 
     value = 0j
     power = 1.0

@@ -4,8 +4,8 @@ The ground state is represented as ``exp(-C)`` applied to the all-zero
 configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
-point, a ``SolverState`` advanced order by order (``advance_order``,
-or ``advance_within`` for an order kept to a bitmask).
+point, a ``SolverState`` advanced order by order by ``advance_order``,
+which can keep an order to the sets within a bitmask.
 Each order is two steps, each written once.  ``_numerators`` sums the
 edge terms: order 1 reads the vacuum column of each edge term directly,
 and each later order combines up to four lower-order sets against every
@@ -39,7 +39,7 @@ exact series.
 Each edge (u, v) walks a pool of candidate records: the stored sets
 that meet the edge, order by order, each order as the table's bins hold
 it, u's bin and then v's bin without u.  ``_edge_pool`` builds every
-pool of the value walk, the correlator's site values included, and the
+pool of the value walk, the correlator's light cone included, and the
 tangent pass builds its pools from the same bins, so each pool places
 its records in that order.  The pool is built in one pass straight
 from the table's bins when the edge's walk starts, together with the
@@ -50,9 +50,9 @@ sections of orders 1..r: those below r extend it, and order r closes
 it, so no record of a higher order is visited.  An edge maps each
 kernel's edge-bit patterns onto its own bitmasks once per multiset
 code, not once per contribution, and frees that map with the pool.
-An order step kept to a bitmask (the site values, and the correlator's
-capped top order) keeps only the patterns whose edge bits lie in it,
-since a pattern off it gives targets that are dropped.
+An order step kept to a bitmask (the correlator's capped orders) keeps
+only the patterns whose edge bits lie in it, since a pattern off it
+gives targets that are dropped.
 Each nonzero contribution c is folded into its target's numerator as
 ``acc.get(target, complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact
 additive identity (-0.0 + x is x, bit for bit, for +0.0 and -0.0
@@ -77,9 +77,9 @@ the kernel patterns that would give a larger target before computing
 their contributions.  It shares the solve's vacuum column, kernel
 slots and division (``_divide``).  The
 plain values the correlator reads at the top order, of {s}, {t} and
-{s, t}, come from ``site_values``: the solve's own order step, its
-numerators kept to {s, t} (each edge's pool to the sets within the edge
-plus {s, t}, the only ones that can reach them), then divided.
+{s, t}, are its light cone's last order step, kept to {s, t}: each
+edge's pool holds only the sets within the edge plus {s, t}, the only
+ones that can reach them.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def _edge_pool(table, u, v, budget, within):
     return pool, ends
 
 
-def _walk_edge(edge, pool, ends, budget, acc, st):
+def _walk_edge(edge, pool, ends, budget, acc, within):
     """Add the edge's tuples of total order ``budget``, drawn from ``pool``, to ``acc``.
 
     ``pool`` and ``ends`` are records and section ends as ``_edge_pool``
@@ -253,12 +253,11 @@ def _walk_edge(edge, pool, ends, budget, acc, st):
     edge's operator, filled on first use by ``kernel.edge_kernel``; the
     walk maps that kernel's edge-bit patterns onto the edge's bitmasks
     once per code, keeping only the patterns whose edge bits lie in the
-    bitmask ``st`` (every pattern, if it is -1): the others give targets
-    off ``st``, which an order step kept to ``st`` never keeps.  Each
-    nonzero contribution
-    is added to its target's numerator in visit order, the first one onto
-    complex(-0.0, -0.0), which stores it with its own bits (see the module
-    docstring).
+    bitmask ``within`` (every pattern, if it is -1): the others give
+    targets off ``within``, which an order step kept to ``within`` never
+    keeps.  Each nonzero contribution is added to its target's numerator
+    in visit order, the first one onto complex(-0.0, -0.0), which stores
+    it with its own bits (see the module docstring).
     """
     acc_get = acc.get
     # the exact additive identity: -0.0 + x is x, bit for bit, +0.0 and -0.0 included
@@ -266,7 +265,7 @@ def _walk_edge(edge, pool, ends, budget, acc, st):
     u, v, op = edge.u, edge.v, edge.op
     kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
-    beyond = ~st
+    beyond = ~within
     target_masks = [None] * NCODES
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
@@ -314,81 +313,57 @@ def _walk_edge(edge, pool, ends, budget, acc, st):
     grow = None
 
 
-def _numerators(state, order, st):
-    """The order-``order`` numerators of the sets that lie in the bitmask ``st``.
+def _numerators(state, within):
+    """The next order's numerators of the sets that lie in the bitmask ``within``.
 
     Order 1 is the vacuum column of every edge term (``_vacuum_column``).
-    Above it, with budget b = order - 1, each edge (u, v) of
-    ``model.edges`` builds its pool of orders 1..b from the bins, kept to
-    the sets within uv | st (``_edge_pool``), walks it (``_walk_edge``,
-    which skips the kernel patterns off ``st``) if it is not empty, and
-    frees it.  ``st`` = -1 keeps every set, every pattern and every
-    target.  Otherwise a tuple that reaches a target within ``st``
-    has every item within its edge plus ``st``, and the kept records stay
-    in the bins' order, so each target's contributions arrive in the
-    order the full walk adds them.  Every target the walks reach lies in
-    ``st``: so do its items' outside parts and its pattern's edge bits.
-    ``state`` must hold orders up to b.  Bins only grow once an order is
-    installed, so a pool is the same whichever call builds it.
+    Above it, with budget b = ``state.current_order``, each edge (u, v)
+    of ``model.edges`` builds its pool of orders 1..b from the bins, kept
+    to the sets within uv | within (``_edge_pool``), walks it
+    (``_walk_edge``, which skips the kernel patterns off ``within``) if
+    it is not empty, and frees it.  ``within`` = -1 keeps every set,
+    every pattern and every target.  Otherwise a tuple that reaches a
+    target within ``within`` has every item within its edge plus
+    ``within``, and the kept records stay in the bins' order, so each
+    target's contributions arrive in the order the full walk adds them.
+    Every target the walks reach lies in ``within``: so do its items'
+    outside parts and its pattern's edge bits.
     """
     edges = state.model.edges
-    if order == 1:
+    budget = state.current_order
+    if budget == 0:
         acc = _vacuum_column(edges)
-        if st == -1:
+        if within == -1:
             return acc
-        return {mask: value for mask, value in acc.items() if not mask & ~st}
-    budget = order - 1
-    if state.current_order < budget:
-        raise ValueError(f"state holds orders up to {state.current_order}, "
-                         f"order {order} needs {budget}")
+        return {mask: value for mask, value in acc.items() if not mask & ~within}
     table = state.table
     acc = {}
     for e in edges:
-        pool, ends = _edge_pool(table, e.u, e.v, budget, (1 << e.u) | (1 << e.v) | st)
+        pool, ends = _edge_pool(table, e.u, e.v, budget, (1 << e.u) | (1 << e.v) | within)
         if pool:
-            _walk_edge(e, pool, ends, budget, acc, st)
+            _walk_edge(e, pool, ends, budget, acc, within)
     return acc
 
 
-def advance_order(state):
+def advance_order(state, within=-1):
     """Extend the table by one order from the already stored ones.
 
-    The next order's numerators of every set (``_numerators``) are
-    divided with the state's threshold (``_divide``) and installed, and
-    the order's one-norm and what the threshold dropped are recorded.
-    """
-    return advance_within(state, -1)
-
-
-def advance_within(state, within):
-    """``advance_order`` that stores only the next order's sets lying in the bitmask ``within``.
-
-    The numerators are ``_numerators(state, order, within)``, so each
-    kept set gets the value ``advance_order`` would store, bit for bit,
-    in the same relative map order.  Its one-norm, of a partial order,
-    is recorded as None unless ``within`` is -1.
+    The next order's numerators of the sets lying in the bitmask
+    ``within`` (every set, if it is -1; ``_numerators``) are divided with
+    the state's threshold (``_divide``) and installed, and the order's
+    one-norm and what the threshold dropped are recorded.  A kept set
+    gets the value an uncapped step would store, bit for bit, in the same
+    relative map order; the one-norm of such a partial order is recorded
+    as None.
     """
     order = state.current_order + 1
-    acc = _numerators(state, order, within)
+    acc = _numerators(state, within)
     norm, count, lost = _divide(state.model.deltas, acc, state.threshold)
     install_order(state.table, order, acc)
     state.current_order = order
     state.norms.append(norm if within == -1 else None)
     state.dropped.append((count, lost))
     return state
-
-
-def site_values(state, s, t, order):
-    """The plain order-``order`` values of {s}, {t} and {s, t}, keyed by bitmask.
-
-    Each is the value ``advance_order`` would store (at threshold 0),
-    bit for bit, and an exact zero is left out: the same numerators
-    (``_numerators``, kept to {s, t}) and the same division.  ``state``
-    must hold orders up to order - 1.
-    """
-    acc = _numerators(state, order, (1 << s) | (1 << t))
-    _divide(state.model.deltas, acc, 0.0)
-    return acc
 
 
 def times(av, ad, bv, bd):
@@ -458,10 +433,11 @@ def tangent_pass(state, edge, order):
     returned ``tangents[q]`` maps vertex bitmasks to the derivative, at
     zero strength, of the order-q coefficient, for q = 1..order, nonzero
     entries only; the plain values the next energy coefficient reads at
-    order ``order`` come from ``site_values``.  ``state`` must hold the
-    plain tables up to order - 1.  The pass only reads its tables and
-    bins (building the bins of an order not yet indexed, as any reader
-    does).  The only caches it fills are the kernel slots of every
+    order ``order`` are the light cone's last order step, kept to {s, t}
+    (``advance_order``).  ``state`` must hold the plain tables up to
+    order - 1; no order above that is read.  The pass only reads its
+    tables and bins (building the bins of an order not yet indexed, as
+    any reader does).  The only caches it fills are the kernel slots of every
     operator it walks, the observable's included, pure functions of the
     operators.  So one state serves any number of passes with the same
     results, and ``response.correlator`` reuses it across queries on the

@@ -27,7 +27,7 @@ from ktspin import (
 )
 from ktspin.cli import main
 from ktspin.model import parse_pauli_expression
-from ktspin.solver import advance_order, site_values, tangent_pass
+from ktspin.solver import SolverState, advance_order, tangent_pass
 from conftest import grid_pairs
 
 # sha256 of the bytes named in each test, from the build these outputs were
@@ -205,7 +205,8 @@ def test_tangent_table_bits():
                     orders = state.table.orders.get(q, {})
                     derivative_only += sum(mask not in orders for mask in tangents[q])
             # the last order's values of {s}, {t} and {s, t}, after its tangents
-            for mask, value in site_values(state, s, t, p).items():
+            last = advance_order(solve(model, p - 1), (1 << s) | (1 << t))
+            for mask, value in last.table.orders.get(p, {}).items():
                 value = complex(value)
                 data += struct.pack("<iQdd", p + 1, mask, value.real, value.imag)
     # sets whose value is exactly zero but whose derivative is not (737 of them)
@@ -214,9 +215,9 @@ def test_tangent_table_bits():
 
 
 def test_site_values_are_the_solve_bits():
-    # site_values walks only the edges and the records that can reach {s},
-    # {t} and {s, t}; each value must carry every bit of the value the full
-    # solve stores, from a state that holds only the orders below it
+    # an order step kept to {s, t} walks only the edges and the records
+    # that can reach {s}, {t} and {s, t}; each value must carry every bit
+    # of the value the full solve stores, on a new state per query
     cases = [
         (hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212), [(2, 3), (2, 7)]),
         (hermitian_doc(grid_pairs(3, 3), 9, 902), [(1, 4), (0, 8)]),
@@ -225,14 +226,14 @@ def test_site_values_are_the_solve_bits():
     compared = pairs = 0
     for doc, sites in cases:
         model = model_from_dict(doc)
-        state = solve(model, 1)
         got = {}
         for p in range(1, 6):
-            while state.current_order < p - 1:
-                advance_order(state)
             for s, t in sites:
-                got[s, t, p] = site_values(state, s, t, p)
-        advance_order(state)
+                cone = SolverState(model, 0.0)
+                for within in [-1] * (p - 1) + [(1 << s) | (1 << t)]:
+                    advance_order(cone, within)
+                got[s, t, p] = cone.table.orders.get(p, {})
+        state = solve(model, 5)
         for (s, t, p), values in got.items():
             stored = state.table.orders[p]
             masks = [m for m in (1 << t, 1 << s, (1 << s) | (1 << t)) if m in stored]

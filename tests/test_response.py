@@ -32,7 +32,7 @@ from ktspin.oracle import expectation, ground
 from ktspin.certificate import REGIME_CERTIFIED, REGIME_NONE
 from ktspin.clusters import AdjacencyGraph, distances
 from ktspin.setalg import bin_candidates, members_of
-from ktspin.solver import site_values, tangent_pass
+from ktspin.solver import SolverState, advance_order, tangent_pass
 from conftest import (
     grid_pairs,
     make_model,
@@ -189,7 +189,8 @@ def test_restriction_is_bit_identical_at_the_benchmark_scale():
     far = py_rng.randrange(n)
     pairs.append((far, (far + 2) % n))
     for s, t in pairs:
-        # both observables per side, so each side solves each cone once
+        # both observables per side: the restricted side solves each cone
+        # once, and the unrestricted one, which is not held, once per query
         full = [correlator(m, query(s, t, obs, eps, 4), restrict=False) for obs in observables]
         cut = [correlator(m, query(s, t, obs, eps, 4), restrict=True) for obs in observables]
         for a, b in zip(cut, full):
@@ -199,40 +200,45 @@ def test_restriction_is_bit_identical_at_the_benchmark_scale():
 
 
 def test_the_held_light_cone_caps_its_top_order(rng):
-    # the held state stores its top order p - 1 only within p - 1 hops of
-    # the sites, records no one-norm for it, and keeps every lower order and
-    # the site values of the uncapped cone
+    # the held state stores order p only on {s}, {t} and {s, t}, and for
+    # p >= 3 order p - 1 only within p - 1 hops of the sites; it records no
+    # one-norm for a capped order, and keeps every other order of the
+    # uncapped cone
     cut_somewhere = False
     for m in (random_model(rng, grid_pairs(4, 4), 16),
               random_model(rng, topology_pairs("ring", 14), 14)):
         obs = random_hermitian_op(rng)
         eps = m.eps0_star / (2 * m.d)
         for s, t in ((0, 1), (5, 10)):
-            for p in (3, 4, 5):
+            for p in range(1, 6):
                 correlator(m, query(s, t, obs, eps, p))
-                key, rs, rt, state, values = m._light_cone
+                key, rs, rt, state = m._light_cone
                 assert key == (s, t, p, True)
                 sub, mapping = restrict_neighborhood(m, s, t, p - 1)
                 assert (rs, rt) == (mapping[s], mapping[t])
-                dist = distances(AdjacencyGraph.from_model(sub), (rs, rt))
-                top = state.table.orders[p - 1]
-                assert state.current_order == p - 1
-                assert all(dist[w] <= p - 1 for mask in top for w in members_of(mask))
-                assert state.norms[p - 2] is None
-                lower = solve(sub, p - 2)
-                assert state.norms[:p - 2] == lower.norms
-                for q in range(1, p - 1):
+                assert state.model.n == sub.n and state.current_order == p
+                uncapped = solve(sub, p)
+                whole = p - 1 if p <= 2 else p - 2
+                assert state.norms[:whole] == uncapped.norms[:whole]
+                for q in range(1, whole + 1):
                     assert (list(state.table.orders[q].items())
-                            == list(lower.table.orders[q].items()))
-                uncapped = solve(sub, p - 1)
-                whole = uncapped.table.orders[p - 1]
-                assert list(top.items()) == [
-                    (mask, value) for mask, value in whole.items()
-                    if all(dist[w] <= p - 1 for w in members_of(mask))
+                            == list(uncapped.table.orders[q].items()))
+                if p >= 3:
+                    dist = distances(AdjacencyGraph.from_model(sub), (rs, rt))
+                    top = state.table.orders[p - 1]
+                    full = uncapped.table.orders[p - 1]
+                    assert state.norms[p - 2] is None
+                    assert list(top.items()) == [
+                        (mask, value) for mask, value in full.items()
+                        if all(dist[w] <= p - 1 for w in members_of(mask))
+                    ]
+                    cut_somewhere |= len(top) < len(full)
+                sites = (1 << rs, 1 << rt, (1 << rs) | (1 << rt))
+                assert state.norms[p - 1] is None
+                assert list(state.table.orders.get(p, {}).items()) == [
+                    (mask, value) for mask, value in uncapped.table.orders.get(p, {}).items()
+                    if mask in sites
                 ]
-                cut_somewhere |= len(top) < len(whole)
-                uncapped_values = site_values(uncapped, rs, rt, p)
-                assert list(values.items()) == list(uncapped_values.items())
     assert cut_somewhere
 
 
@@ -248,6 +254,12 @@ def test_a_query_and_a_solve_leave_no_reference_cycles(rng):
         assert gc.collect() == 0
         state = solve(m, 4)
         del state
+        assert gc.collect() == 0
+        # an unrestricted cone's state holds the model itself, so the model
+        # does not hold that cone, and dropping the model frees both
+        correlator(m, query(0, 1, obs, m.eps0_star / (2 * m.d), 4), restrict=False)
+        assert m._light_cone is None
+        del m
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -299,26 +311,29 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
     # (sites, observable, order, restrict): only the second can reuse a solve
     sequence = [(a, zz, 4, True), (a, other, 4, True), (b, zz, 4, True),
                 (a, zz, 4, True), (a, zz, 3, True), (a, zz, 4, False)]
-    solves, sites = [], []
+    states, steps = [], []
 
-    def spy(model, order, threshold=0.0):
+    def state_spy(model, threshold):
         # the held state is dropped first, so two are never alive at once
         assert m._light_cone is None
-        solves.append(order)
-        return solve(model, order, threshold)
+        states.append(model)
+        return SolverState(model, threshold)
 
-    def site_spy(state, s, t, order):
-        sites.append(order)
-        return site_values(state, s, t, order)
+    def step_spy(state, within=-1):
+        steps.append(state.current_order + 1)
+        return advance_order(state, within)
 
-    monkeypatch.setattr(response, "solve", spy)
-    monkeypatch.setattr(response, "site_values", site_spy)
+    monkeypatch.setattr(response, "SolverState", state_spy)
+    monkeypatch.setattr(response, "advance_order", step_spy)
     calls, answers = [], []
     for (s, t), obs, p, restrict in sequence:
-        before = (len(solves), len(sites))
+        before = (len(states), len(steps))
         answers.append(correlator(m, query(s, t, obs, eps, p), restrict=restrict))
-        calls.append((len(solves) - before[0], len(sites) - before[1]))
-    # the site values are held with the solve: the second query computes neither
+        built = steps[before[1]:]
+        assert built in ([], list(range(1, p + 1)))
+        calls.append((len(states) - before[0], built.count(p)))
+    # the site values are the held state's last order: the second query
+    # builds neither a state nor an order step
     assert calls == [(1, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1)]
     monkeypatch.undo()
     for ((s, t), obs, p, restrict), warm in zip(sequence, answers):
@@ -326,12 +341,8 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
         assert warm.value == cold.value
         assert warm.coefficients == cold.coefficients
         assert (warm.bound, warm.regime) == (cold.bound, cold.regime)
-    # one entry, for the last query
-    key, rs, rt, state, values = m._light_cone
-    assert key == (a[0], a[1], 4, False)
-    assert (rs, rt) == a
-    assert state.model is m and state.current_order == 3
-    assert values == site_values(state, rs, rt, 4)
+    # the last query is unrestricted: it dropped the held entry and holds none
+    assert m._light_cone is None
 
 
 def test_correlator_restricts_to_its_light_cone(monkeypatch):
@@ -485,7 +496,7 @@ def test_derivative_only_sets_keep_the_slopes():
 def test_only_edges_that_meet_a_derivative_set_build_a_pool(monkeypatch):
     # the pass walks the observable edge and the model edges that meet a
     # derivative set; an edge that would only feed the values of {s}, {t}
-    # and {s, t} builds nothing, since those come from site_values
+    # and {s, t} builds nothing, since those come from the value table
     rng = np.random.default_rng(5)
     m = random_model(rng, topology_pairs("ring", 12), 12)
     obs = random_hermitian_op(rng)

@@ -17,7 +17,7 @@ from ktspin.oracle import extract_creation_coefficients, ground
 from ktspin.setalg import bin_candidates, dump_coefficients, members_of, one_norm, table_lookup
 from ktspin.kernel import CODE
 from ktspin.solver import (
-    SolverState, _divide, _edge_pool, advance_order, site_values, tangent_pass,
+    SolverState, _divide, _edge_pool, advance_order, tangent_pass,
 )
 from conftest import (
     make_model,
@@ -254,24 +254,20 @@ def test_excitation_energy_is_the_left_to_right_sum(rng):
         assert divided(cold, mask) == 1 / plain(mask)
 
 
-def test_site_values_and_tangent_pass_need_the_lower_orders(rng):
-    # both read the tables of orders 1..order - 1 and refuse a state that
-    # holds fewer; order 1 needs none
+def test_tangent_pass_needs_the_lower_orders(rng):
+    # the pass reads the tables of orders 1..order - 1 and refuses a state
+    # that holds fewer; order 1 needs none
     m = random_model(rng, topology_pairs("ring", 6), 6)
     edge = EdgeTerm(0, 1, TwoQubitOperator(random_hermitian_op(rng)))
     state = solve(m, 2)
     for order in (4, 5):
         with pytest.raises(ValueError):
-            site_values(state, 0, 1, order)
-        with pytest.raises(ValueError):
             tangent_pass(state, edge, order)
     cold = SolverState(m, 0.0)
     with pytest.raises(ValueError):
-        site_values(cold, 0, 3, 2)
-    with pytest.raises(ValueError):
         tangent_pass(cold, edge, 2)
-    assert site_values(cold, 0, 3, 1) == site_values(state, 0, 3, 1)
-    assert site_values(state, 0, 3, 3) and tangent_pass(state, edge, 3)[3]
+    assert tangent_pass(cold, edge, 1) == tangent_pass(state, edge, 1)
+    assert tangent_pass(state, edge, 3)[3]
 
 
 def test_norms_track_one_norm(rng):
