@@ -24,7 +24,6 @@ from .energy import (
 )
 from .errors import (
     DanglingVertexId,
-    Disconnected,
     EmptySet,
     InvalidObservable,
     InvalidThreshold,
@@ -62,7 +61,6 @@ __all__ = [
     "CorrelatorQuery",
     "CorrelatorResult",
     "DanglingVertexId",
-    "Disconnected",
     "EdgeTerm",
     "EmptySet",
     "EnergySeries",

@@ -9,8 +9,8 @@ An energy or a correlator is certified only inside its regime:
 - the correlator for |eps| <= eps0* / (2d) (``correlator_threshold``;
   every strength when d = 0), when its value is finite.  Its order-p
   bound is ``correlator_bound`` = 2^(-16-p) J d (d+1) times
-  ``observable_scale``: ``correlator`` solves with O / scale, whose norm
-  is at most J, and scales the value and the bound back.
+  ``observable_scale``: the bound holds for O / scale, whose norm is at
+  most J, and the correlator is linear in O.
 
 Outside its regime an estimate keeps its value, its bound is None, and
 a UserWarning names the reason.
@@ -54,7 +54,7 @@ def correlator_threshold(model):
 
 
 def observable_scale(model, observable):
-    """max(1, ||O|| / J): ``correlator`` solves with O divided by it and scales back."""
+    """max(1, ||O|| / J), the factor of O's correlator bound: O / scale has norm at most J."""
     onorm, j_max = observable.norm(), model.J
     return onorm / j_max if j_max > 0.0 and onorm > j_max else 1.0
 

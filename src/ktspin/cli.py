@@ -21,7 +21,6 @@ import warnings
 import numpy as np
 
 from . import clusters as clusters_mod
-from . import oracle
 from .certificate import choose_correlator_order, choose_order, correlator_threshold
 from .energy import energy_estimate, energy_series, radius_estimate, series_from_state
 from .errors import KtspinError, NonFiniteStrength, ParseError
@@ -222,6 +221,9 @@ def _random_verify_model(rng, n, ring):
 
 
 def _verify_checks(max_qubits, seeds):
+    # only verify reads the dense oracle, so no other command compiles it
+    from . import oracle
+
     for seed in range(seeds):
         rng = np.random.default_rng(7000 + seed)
         n = int(rng.integers(3, max_qubits + 1))

@@ -1,4 +1,4 @@
-"""Connected-cluster enumeration and minimal connected supersets.
+"""Connected-cluster enumeration.
 
 Supports the locality diagnostics: which vertex sets can carry a nonzero
 coefficient at a given order, and how many such sets a bounded-degree
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import DanglingVertexId, Disconnected, EmptySet
-from .setalg import vertex_set
+from .errors import DanglingVertexId, EmptySet
 
 _INF = float("inf")
 
@@ -92,59 +91,3 @@ def enumerate_clusters(graph, root, size):
 def cluster_count_bound(graph, size):
     """Counting bound (4*degree)^(size-1) for clusters through a fixed vertex."""
     return (4 * graph.degree()) ** (size - 1)
-
-
-def connected_size(graph, members):
-    """Number of vertices in a smallest connected subgraph containing the set.
-
-    Exact Steiner-tree size by dynamic programming over terminal subsets;
-    intended for small terminal sets.  Raises Disconnected when the members
-    do not share a component.
-    """
-    ms = vertex_set(members)
-    if not ms:
-        raise EmptySet("connected size needs a nonempty vertex set")
-    for w in ms:
-        if not (0 <= w < graph.n):
-            raise DanglingVertexId(f"vertex {w} outside 0..{graph.n - 1}")
-    if len(ms) == 1:
-        return 1
-    dist0 = distances(graph, [ms[0]])
-    if any(dist0[w] == _INF for w in ms):
-        raise Disconnected(f"vertices {list(ms)} are not in one connected component")
-    component = [w for w in range(graph.n) if dist0[w] != _INF]
-    dist = {u: distances(graph, [u]) for u in component}
-    anchor = ms[0]
-    terminals = ms[1:]
-    m = len(terminals)
-    full = (1 << m) - 1
-    best = [None] * (1 << m)
-    for i, t in enumerate(terminals):
-        best[1 << i] = list(dist[t])
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        low = mask & -mask
-        cur = [_INF] * graph.n
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                other = best[mask ^ sub]
-                mine = best[sub]
-                for w in component:
-                    c = mine[w] + other[w]
-                    if c < cur[w]:
-                        cur[w] = c
-            sub = (sub - 1) & mask
-        # connect the merged trees through intermediate vertices
-        for w in component:
-            dw = dist[w]
-            base = cur[w]
-            if base == _INF:
-                continue
-            for x in component:
-                c = base + dw[x]
-                if c < cur[x]:
-                    cur[x] = c
-        best[mask] = cur
-    return int(best[full][anchor]) + 1

@@ -53,7 +53,3 @@ class InvalidThreshold(KtspinError):
 
 class InvalidObservable(KtspinError):
     """Observable matrix is not Hermitian or has the wrong shape."""
-
-
-class Disconnected(KtspinError):
-    """Vertices that must share a connected component do not."""

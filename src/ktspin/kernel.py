@@ -24,8 +24,9 @@ orientation and hold no vertex, so they are cached on the operator, one
 slot per code, and shared by every model and every solve that holds it,
 a renumbered submodel and a correlator's observable included; the
 solver maps them onto each edge's own bitmasks.  ``matrix_element``
-answers one query ``(target, sets, edge)`` in the argument order of the
-independent dense check ``oracle.dense_matrix_element``.
+answers one query ``(target, sets, edge)`` from those same slots, in the
+argument order of the independent dense check
+``oracle.dense_matrix_element``.
 """
 
 from __future__ import annotations
@@ -101,22 +102,27 @@ def matrix_element(target, sets, edge):
     """Exact <target| [A_1, [A_2, ... [A_k, V]]] |vacuum> for the edge term V.
 
     ``A_j`` is the creation operator of the nonempty vertex set ``sets[j]``;
-    the argument order matches ``oracle.dense_matrix_element``.  Returns
-    exact complex zero, without arithmetic, when a set misses the edge,
-    when two sets overlap outside the edge, or when the target differs
-    from their union outside the edge; with five or more sets the result
-    is always zero.
+    the argument order matches ``oracle.dense_matrix_element``.  The value
+    is read from ``edge_kernel`` for the sets' multiset code, the slot the
+    solver reads.  Returns exact complex zero, without arithmetic, with
+    five or more sets, when a set misses the edge, when two sets overlap
+    outside the edge, or when the target differs from their union outside
+    the edge.
     """
     if not all(sets):
         raise EmptySet("creation sets must be nonempty")
+    # the nested commutator of five or more sets vanishes, and a base-5
+    # code holds at most four of each pattern
+    if len(sets) > 4:
+        return 0j
     u, v = edge.u, edge.v
-    sbits = []
+    code = 0
     outside = set()
     for members in sets:
         sb = (2 if u in members else 0) | (1 if v in members else 0)
         if sb == 0:
             return 0j
-        sbits.append(sb)
+        code += CODE[sb]
         for w in members:
             if w != u and w != v:
                 if w in outside:
@@ -125,4 +131,4 @@ def matrix_element(target, sets, edge):
     if {w for w in target if w != u and w != v} != outside:
         return 0j
     tbits = (2 if u in target else 0) | (1 if v in target else 0)
-    return complex(target_matrix_elements(tuple(sbits), edge.op.entries).get(tbits, 0j))
+    return complex(dict(edge_kernel(edge.op, code)).get(tbits, 0j))

@@ -3,8 +3,8 @@
 Everything in this module works directly on state vectors over the full
 2^n configuration space: Hamiltonian construction, smallest eigenpairs,
 expectation values, extraction of the creation coefficients from an
-exact ground state, numeric differentiation of the exact energy curve,
-and dense evaluation of nested-commutator matrix elements.  It exists to
+exact ground state, and dense evaluation of nested-commutator matrix
+elements.  It exists to
 cross-check the series machinery, so it shares no combinatorial code
 with the solver or kernel.  Up to ``_DENSE_LIMIT`` (10) qubits the
 eigensolve is dense; 11-14 qubits take the sparse route
@@ -257,53 +257,6 @@ def reconstruct_state(coefficients, n):
             break
         vec = vec + term
     return vec
-
-
-@dataclass
-class NumericSeries:
-    """Least-squares series coefficients from exact energies, with conditioning."""
-
-    coefficients: list
-    conditioning: float
-    uncertainties: list
-    radius: float
-    nodes: np.ndarray
-    values: np.ndarray
-
-
-def numeric_series(model, order, radius=None):
-    """Fit the exact energy curve to a polynomial with zero constant term.
-
-    Samples the exact ground energy at 2*order+1 Chebyshev nodes within
-    the given radius (default: a quarter of the convergence threshold)
-    and solves the least-squares system in the scaled variable.  The
-    reported per-coefficient uncertainties combine the conditioning with
-    the eigensolver's absolute accuracy; at very small radii they are
-    large and honest.
-    """
-    _check_size(model.n, QUBIT_CAP)
-    r = radius if radius is not None else model.eps0 / 4.0
-    if not np.isfinite(r) or r <= 0:
-        raise ValueError(f"need a positive finite sampling radius, got {r}")
-    count = 2 * order + 1
-    nodes = r * np.cos(np.pi * (2 * np.arange(count) + 1) / (2 * count))
-    values = np.array([ground(model, float(x)).energy for x in nodes])
-    scaled = nodes / r
-    design = np.column_stack([scaled ** q for q in range(1, order + 1)])
-    fit, _res, _rank, _sv = np.linalg.lstsq(design, values, rcond=None)
-    conditioning = float(np.linalg.cond(design))
-    powers = np.array([r ** q for q in range(1, order + 1)])
-    coefficients = [float(c) for c in fit / powers]
-    noise = 1e-13 * max(1.0, _norm_scale(model, r))
-    uncertainties = [conditioning * noise / r ** q for q in range(1, order + 1)]
-    return NumericSeries(
-        coefficients=coefficients,
-        conditioning=conditioning,
-        uncertainties=uncertainties,
-        radius=float(r),
-        nodes=nodes,
-        values=values,
-    )
 
 
 def _creation_matrix(members, n):

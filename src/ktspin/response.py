@@ -69,9 +69,8 @@ model reuses the rest:
 - each edge operator caches its commutator kernels as edge-bit
   patterns (``kernel.edge_kernel``), which every solve and every
   renumbered submodel sharing the operator maps onto its own edges.
-  So does the observable: a query whose observable needs no rescaling
-  walks the query's own operator, and its kernels serve the next query
-  that holds it;
+  So does the observable: a query walks its own operator, and its
+  kernels serve the next query that holds it;
 - the model holds the last restricted light cone, keyed by (s, t, p,
   restrict): the renumbered sites and the cone's state, and the next
   query with the same key reuses both.  It is one entry, dropped before
@@ -252,10 +251,9 @@ def _response_coefficients(state, edge, p):
 def correlator(model, query, restrict=True):
     """Order-p correlator of a two-site observable in the ground state.
 
-    The observable is divided by ``certificate.observable_scale`` when
-    its norm exceeds the model's edge-strength scale, and the result and
-    bound are scaled back, so callers never see the rescaling.  A NaN or
-    infinite strength raises NonFiniteStrength.  Outside the certified
+    The solve takes the observable as given: the response is linear in
+    it, so ``certificate.observable_scale`` enters only the bound.  A NaN
+    or infinite strength raises NonFiniteStrength.  Outside the certified
     regime, or when the value comes out non-finite, the bound is None
     and a UserWarning names the reason.  The value solve of a restricted
     query's light cone stays on the model for the next query (see the
@@ -274,25 +272,19 @@ def correlator(model, query, restrict=True):
         raise NonPositivePrecision("correlator order must be >= 0")
     eps = query.epsilon
     _check_strength(eps)
-    scale = observable_scale(model, obs)
-    run_op = TwoQubitOperator(obs.entries / scale) if scale != 1.0 else obs
-
     if p == 0:
-        ders = [run_op.rows[0][0]]
+        ders = [obs.rows[0][0]]
     else:
         rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
-        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=run_op), p)
+        ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=obs), p)
 
     value = 0j
     power = 1.0
     for der in ders:
         value = value + der * power
         power = power * eps
-    if scale != 1.0:
-        value = value * scale
-        ders = [der * scale for der in ders]
 
-    regime, bound = certify_correlator(model, eps, p, value, scale)
+    regime, bound = certify_correlator(model, eps, p, value, observable_scale(model, obs))
     return CorrelatorResult(
         value=value, bound=bound, regime=regime, coefficients=ders, order=p
     )

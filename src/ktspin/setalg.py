@@ -21,11 +21,6 @@ from operator import itemgetter
 from .errors import EmptySet
 
 
-def vertex_set(members):
-    """Normalize an iterable of vertex ids to a strictly increasing tuple."""
-    return tuple(sorted(set(members)))
-
-
 def members_of(mask):
     """Increasing list of the vertex ids set in a bitmask."""
     # peeling the top bit with bit_length is cheaper on wide masks than
@@ -66,41 +61,18 @@ class CoefficientTable:
             self.unindexed = []
         return self._bins
 
-    def entry_count(self):
-        return sum(len(m) for m in self.orders.values())
-
 
 def _check_set(mask):
     if not mask:
         raise EmptySet("coefficient sets must be nonempty")
 
 
-def table_insert(table, order, mask, value):
-    """Store a coefficient; exact zeros are dropped rather than stored.
-
-    Inserting an existing (order, mask) key replaces the value in place
-    and leaves the bins untouched.
-    """
-    _check_set(mask)
-    if value == 0:
-        return
-    # index the installed orders first, so each bin keeps insertion order
-    bins = table.bins
-    omap = table.orders.setdefault(order, {})
-    fresh = mask not in omap
-    omap[mask] = value
-    if fresh:
-        for w in members_of(mask):
-            bins.setdefault(w, {}).setdefault(order, []).append(mask)
-
-
 def install_order(table, order, omap):
     """Store a whole order's {mask: nonzero value} map as is.
 
     The map becomes the table's order entry, not a copy.  Its masks join
-    their members' bins when the bins are next read, in the map's order,
-    as ``table_insert`` calls in that order would place them.  An empty
-    map stores nothing.
+    their members' bins when the bins are next read, in the map's order.
+    An empty map stores nothing.
     """
     if not omap:
         return
@@ -137,22 +109,6 @@ def bin_candidates(table, u, v, order):
         if not mask & bu:
             out.append((mask, omap[mask]))
     return out
-
-
-def one_norm(table, order):
-    """Largest, over vertices, total coefficient magnitude of sets containing it."""
-    best = 0.0
-    for per_order in table.bins.values():
-        masks = per_order.get(order)
-        if not masks:
-            continue
-        omap = table.orders[order]
-        total = 0.0
-        for mask in masks:
-            total += abs(omap[mask])
-        if total > best:
-            best = total
-    return best
 
 
 # json.dumps(..., separators=(", ", ": ")) of {"q", "M", "re", "im"}; str()

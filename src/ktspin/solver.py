@@ -173,8 +173,8 @@ def _divide(deltas, acc, threshold):
     members, summed in increasing vertex order), the threshold and the
     one-norm (largest per-vertex sum of magnitudes).  Exact zeros and
     entries under ``threshold`` are deleted, so the survivors keep their
-    order, and each vertex's sum is added in the survivors' order, as
-    ``one_norm`` adds it in bin order.  Returns the one-norm, the number
+    order, and each vertex's sum is added in the survivors' order, which
+    is the order of the vertex's bin.  Returns the one-norm, the number
     of entries the threshold dropped and their one-norm.
     """
     totals = {}
@@ -202,7 +202,7 @@ def _divide(deltas, acc, threshold):
             totals[w] = totals.get(w, 0.0) + mag
     for mask in gone:
         del acc[mask]
-    # the comparison of one_norm, so that a NaN total never wins
+    # a strict comparison, so that a NaN total never wins
     norm = 0.0
     for total in totals.values():
         if total > norm:

@@ -16,7 +16,7 @@ from conftest import make_model, tf_edge_model
 
 
 def three_qubit_model():
-    """J is about 0.36, below the norm of every observable below, so each is rescaled."""
+    """J is about 0.36, below the norm of every observable below, so each one's bound is scaled."""
     return make_model(
         [1.0, 1.0, 0.8],
         [(0, 1, parse_pauli_expression("0.3 XX + 0.2 ZI")),

@@ -1,4 +1,4 @@
-"""Cluster enumeration, counting bounds, and minimal connected supersets."""
+"""Cluster enumeration and counting bounds."""
 
 from __future__ import annotations
 
@@ -6,16 +6,15 @@ import itertools
 
 import pytest
 
-from ktspin import Disconnected
 from ktspin.clusters import (
     AdjacencyGraph,
     cluster_count_bound,
-    connected_size,
     distances,
     enumerate_clusters,
 )
 from ktspin.errors import DanglingVertexId, EmptySet
 from conftest import grid_pairs, make_model, tf_edge_matrix, topology_pairs
+from reference_impl import is_connected_subset
 
 
 def path_graph(n):
@@ -24,19 +23,6 @@ def path_graph(n):
 
 def complete_graph(n):
     return AdjacencyGraph(n, list(itertools.combinations(range(n), 2)))
-
-
-def is_connected_subset(graph, members):
-    members = set(members)
-    seen = {next(iter(members))}
-    frontier = list(seen)
-    while frontier:
-        w = frontier.pop()
-        for x in graph.neighbors[w]:
-            if x in members and x not in seen:
-                seen.add(x)
-                frontier.append(x)
-    return seen == members
 
 
 def brute_clusters(graph, root, size):
@@ -122,35 +108,3 @@ def test_count_bound_on_grid():
         assert cluster_count_bound(g, size) == 16 ** (size - 1)
         for root in range(g.n):
             assert len(enumerate_clusters(g, root, size)) <= cluster_count_bound(g, size)
-
-
-def test_connected_size_values():
-    assert connected_size(path_graph(5), (0, 4)) == 5
-    assert connected_size(path_graph(5), (2,)) == 1
-    assert connected_size(complete_graph(5), (0, 2, 4)) == 3
-    star = AdjacencyGraph(5, [(0, i) for i in range(1, 5)])
-    assert connected_size(star, (1, 2, 3)) == 4
-    grid = AdjacencyGraph(9, grid_pairs(3, 3))
-    assert connected_size(grid, (0, 8)) == 5
-    assert connected_size(grid, (0, 2, 6)) == 5
-    assert connected_size(grid, (0, 2, 6, 8)) == 7
-
-
-def test_connected_size_brute_force_cross_check():
-    g = AdjacencyGraph(8, topology_pairs("ring", 8))
-    for members in [(0, 3), (0, 4), (1, 5, 7), (0, 2, 4, 6)]:
-        want = min(
-            size
-            for size in range(len(members), g.n + 1)
-            for combo in itertools.combinations(range(g.n), size)
-            if set(members) <= set(combo) and is_connected_subset(g, combo)
-        )
-        assert connected_size(g, members) == want
-
-
-def test_connected_size_rejects_split_components():
-    g = AdjacencyGraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(Disconnected):
-        connected_size(g, (0, 3))
-    with pytest.raises(EmptySet):
-        connected_size(g, ())

@@ -251,8 +251,7 @@ def test_site_values_are_the_solve_bits():
 
 def test_correlator_coefficient_bytes(tmp_path):
     model = load_model(_model_path(tmp_path))
-    # norm 1/2 keeps every observable below the model's edge norms, so no
-    # rescaling by a singular value enters the coefficients
+    # norm 1/2 keeps every observable below the model's edge norms
     observables = ["0.5 ZZ", "0.25 XX + 0.25 YY", "0.5 ZI"]
     lines = []
     for s, t in [(0, 1), (2, 3), (0, 3), (4, 1)]:
@@ -285,7 +284,7 @@ def test_grid_correlator_bytes():
     model = model_from_dict(hermitian_doc(grid_pairs(3, 3), 9, 902))
     mat = _hermitian(random.Random(215), 0.3)
     obs = TwoQubitOperator([[complex(re, im) for re, im in row] for row in mat])
-    # far below the edge norms, so no rescaling by a singular value enters
+    # far below the edge norms
     assert obs.norm() < model.J / 2
     query = CorrelatorQuery(s=1, t=5, observable=obs, epsilon=1e-8, order=4)
     assert _digest(repr(correlator(model, query).coefficients)) == GRID_CORRELATOR

@@ -1,4 +1,4 @@
-"""What the package imports: no scipy off the oracle's sparse route, no unused names."""
+"""What the package imports and defines: no scipy off the oracle's sparse route, no oracle outside verify, no unused names."""
 
 from __future__ import annotations
 
@@ -11,18 +11,20 @@ from pathlib import Path
 
 import numpy as np
 
+import ktspin
 from ktspin import save_model
 from conftest import random_model, topology_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # A fresh interpreter imports the package, runs one command of each kind
-# through cli.main, and prints the scipy modules it has loaded; then it
-# builds one sparse Hamiltonian, which must load scipy, so the scan
-# itself is shown to see an import.
+# through cli.main, and prints the scipy modules it has loaded, and whether
+# the oracle was loaded before verify ran; then it builds one sparse
+# Hamiltonian, which must load scipy, so the scan itself is shown to see
+# an import.
 _PROBE = """
 import json, sys
-import ktspin, ktspin.cli, ktspin.oracle
+import ktspin, ktspin.cli
 from ktspin.cli import main
 
 def scipy_modules():
@@ -35,12 +37,15 @@ runs = [
     ["series", model, "--order", "4", "--json"],
     ["correlate", model, "--s", "0", "--t", "1", "--observable", "ZZ",
      "--epsilon", "1e-7", "--order", "2", "--json"],
-    ["verify", "--max-qubits", "6", "--seeds", "1"],
 ]
 codes = [main(argv) for argv in runs]
+oracle_loaded = "ktspin.oracle" in sys.modules
+codes.append(main(["verify", "--max-qubits", "6", "--seeds", "1"]))
 before = scipy_modules()
+import ktspin.oracle
 ktspin.oracle._sparse_hamiltonian(ktspin.load_model(model), 0.1)
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "oracle_loaded": oracle_loaded, "before": before,
+                  "after": scipy_modules()}))
 """
 
 
@@ -54,6 +59,8 @@ def test_commands_off_the_sparse_route_load_no_scipy(tmp_path):
     )
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["codes"] == [0, 0, 0, 0]
+    # energy, series and correlate never call the oracle, so never load it
+    assert doc["oracle_loaded"] is False
     assert doc["before"] == []
     assert "scipy.sparse" in doc["after"]
 
@@ -80,18 +87,18 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-def _private_definitions(tree):
-    """The module-level private functions and classes of a parsed module, by name."""
+def _definitions(tree, private):
+    """The module-level private (or public) functions and classes of a parsed module, by name."""
     return {
         node.name: node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name.startswith("_") == private and not node.name.startswith("__")
     }
 
 
-def _unreferenced_private_definitions(modules):
-    """``module:line name`` of each private definition no other code in ``modules`` names.
+def _unreferenced_definitions(modules, private=True):
+    """``module:line name`` of each private (or public) definition no other code in ``modules`` names.
 
     A name counts as referenced where it is read as a name, an attribute
     or an import, anywhere except inside its own definition.
@@ -99,7 +106,7 @@ def _unreferenced_private_definitions(modules):
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
     out = []
     for path, tree in trees.items():
-        for name, definition in _private_definitions(tree).items():
+        for name, definition in _definitions(tree, private).items():
             own = {id(node) for node in ast.walk(definition)}
             used = any(
                 id(node) not in own
@@ -119,9 +126,27 @@ def _unreferenced_private_definitions(modules):
 def test_every_private_helper_is_used(tmp_path):
     modules = sorted((SRC / "ktspin").glob("*.py"))
     assert modules
-    assert _unreferenced_private_definitions(modules) == []
+    assert _unreferenced_definitions(modules) == []
     # the scan sees a helper that is left behind, and one named only by itself
     stray = tmp_path / "stray.py"
     stray.write_text("def _left(x):\n    return _left(x - 1) if x else 0\n\n\n"
                      "def _kept():\n    return 1\n\n\nVALUE = _kept()\n")
-    assert _unreferenced_private_definitions(modules + [stray]) == ["stray.py:1 _left"]
+    assert _unreferenced_definitions(modules + [stray]) == ["stray.py:1 _left"]
+
+
+# named by no package code, but imported by the benchmark's pool counters
+_BENCHMARK_IMPORTS = {"bin_candidates"}
+
+
+def test_every_public_definition_is_used_or_exported(tmp_path):
+    # __init__.py's imports are the exports, so they count through __all__
+    modules = sorted(p for p in (SRC / "ktspin").glob("*.py") if p.name != "__init__.py")
+    unused = _unreferenced_definitions(modules, private=False)
+    exempt = set(ktspin.__all__) | _BENCHMARK_IMPORTS
+    assert [entry for entry in unused if entry.split()[1] not in exempt] == []
+    # the scan sees a public function that only code outside the package calls
+    stray = tmp_path / "stray.py"
+    stray.write_text("def reference(x):\n    return x\n\n\nclass Used:\n    pass\n\n\n"
+                     "VALUE = Used()\n")
+    found = _unreferenced_definitions(modules + [stray], private=False)
+    assert [entry for entry in found if entry.startswith("stray.py")] == ["stray.py:1 reference"]

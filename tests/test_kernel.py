@@ -89,6 +89,10 @@ def test_five_or_more_sets_vanish(rng):
             for tbits in range(4):
                 target = tuple(w for w in (0, 1) if tbits & (2 >> w))
                 assert matrix_element(target, sets, e) == 0.0
+            # matrix_element returns 0 for these before any arithmetic, so
+            # the expansion itself must vanish for the rule to hold
+            sbits = tuple((2 if 0 in s else 0) | (1 if 1 in s else 0) for s in sets)
+            assert target_matrix_elements(sbits, e.op.rows) == {}
 
 
 def test_matrix_element_order_insensitive(rng):

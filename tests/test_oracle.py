@@ -20,7 +20,6 @@ from ktspin.oracle import (
     extract_creation_coefficients,
     gap,
     ground,
-    numeric_series,
     reconstruct_state,
 )
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     tf_matching_model,
     topology_pairs,
 )
+from reference_impl import numeric_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

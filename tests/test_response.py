@@ -140,6 +140,13 @@ def test_large_observable_is_rescaled_consistently(rng):
     assert big.bound == pytest.approx(25.0 * small.bound, rel=1e-12)
     for cb, cs in zip(big.coefficients, small.coefficients):
         assert cb == pytest.approx(25.0 * cs, rel=1e-12)
+    # the solve is linear in the observable, so a power of two scales every
+    # coefficient and the value exactly, also from below J to above it
+    for op in (obs, 0.75 * obs):
+        one = correlator(m, query(0, 2, op, eps, 3))
+        eight = correlator(m, query(0, 2, 8.0 * op, eps, 3))
+        assert eight.coefficients == [8.0 * c for c in one.coefficients]
+        assert eight.value == 8.0 * one.value
 
 
 def test_restriction_is_bit_identical(rng):
@@ -278,7 +285,6 @@ def test_warm_operators_give_the_cold_answers(rng):
     # each cold answer takes a new one.
     for m in (random_model(rng, topology_pairs("ring", 14), 14),
               random_model(rng, grid_pairs(3, 3), 9)):
-        # under the model's edge norms, so no rescaled copy replaces it
         warm_obs = TwoQubitOperator(random_hermitian_op(rng, 0.5 * m.J))
         eps = m.eps0_star / (2 * m.d)
         for s, t in ((0, 1), (3, 5), (2, 6)):
@@ -383,7 +389,7 @@ def test_restrict_neighborhood_whole_graph_when_wide():
 
 
 def test_choose_correlator_order_is_minimal():
-    # a star of four XX edges: J = 1, d = 4, and ZZ needs no rescaling
+    # a star of four XX edges: J = 1, d = 4, and ZZ's bound is not scaled
     star = make_model([1.0] * 5, [(0, w, parse_pauli_expression("XX")) for w in range(1, 5)])
     zz = TwoQubitOperator.from_pauli("ZZ")
     p = choose_correlator_order(star, zz, 2.0**-20)
