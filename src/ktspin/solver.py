@@ -47,17 +47,26 @@ index where each order's section ends, and freed when the walk ends,
 so between advances a solve holds only its table.  Since the pool is
 sorted by order, a partial tuple with budget r left reads only the
 sections of orders 1..r: those below r extend it, and order r closes
-it, so no record of a higher order is visited.  An edge maps each
-kernel's edge-bit patterns onto its own bitmasks once per multiset
-code, not once per contribution, and frees that map with the pool.
-An order step kept to a bitmask (the correlator's capped orders) keeps
-only the patterns whose edge bits lie in it, since a pattern off it
-gives targets that are dropped.
-Each nonzero contribution c is folded into its target's numerator as
-``acc.get(target, complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact
-additive identity (-0.0 + x is x, bit for bit, for +0.0 and -0.0
-too), so a target's first contribution is stored with its own bits,
-and later ones are added in visit order.  An installed order's bins are
+it, so no record of a higher order is visited.  An edge picks each
+kernel's edge-bit patterns once per multiset code, not once per
+contribution, and frees that list with the pool.  An order step kept
+to a bitmask (the correlator's capped orders) keeps only the patterns
+whose edge bits lie in it, since a pattern off it gives targets that
+are dropped, and skips a leaf whose code keeps none.
+Within one edge's walk a target is a leaf's outside part, which holds
+no edge vertex, plus the edge bits of one kernel pattern, so the walk
+keeps one running sum per outside part and pattern.  A sum's first
+nonzero contribution c starts it as ``acc.get(target,
+complex(-0.0, -0.0)) + c``: -0.0 is IEEE's exact additive identity
+(-0.0 + x is x, bit for bit, for +0.0 and -0.0 too), so a new target's
+first contribution keeps its own bits.  A new target also takes its
+place in ``acc`` at that moment, so ``acc`` lists the targets in the
+order the walks first reach them.  The edge's later contributions are
+added to the sum in visit order, and each sum is written to ``acc``
+once, when the edge's walk ends.  So every target gets the additions a
+fold into ``acc`` on each arrival would make, in the same order, with
+one lookup in ``acc`` per edge and target instead of one per
+contribution.  An installed order's bins are
 built when an advance or a tangent pass first reads them, so the last
 order of a solve that stops is never indexed.  Excitation energies
 are summed again for each set, never cached.
@@ -251,13 +260,17 @@ def _walk_edge(edge, pool, ends, budget, acc, within):
     section-bounded loop, so no record of a higher order is visited.  A
     leaf reads its kernel from the slot of its multiset code on the
     edge's operator, filled on first use by ``kernel.edge_kernel``; the
-    walk maps that kernel's edge-bit patterns onto the edge's bitmasks
-    once per code, keeping only the patterns whose edge bits lie in the
-    bitmask ``within`` (every pattern, if it is -1): the others give
-    targets off ``within``, which an order step kept to ``within`` never
-    keeps.  Each nonzero contribution is added to its target's numerator
-    in visit order, the first one onto complex(-0.0, -0.0), which stores
-    it with its own bits (see the module docstring).
+    walk picks that kernel's edge-bit patterns once per code, keeping
+    only those whose edge bits lie in the bitmask ``within`` (every
+    pattern, if it is -1): the others give targets off ``within``, which
+    an order step kept to ``within`` never keeps.  ``sums`` maps a leaf's outside part to four running sums, one
+    per edge-bit pattern, each one target's.  A sum starts at its first
+    nonzero contribution, from the target's numerator in ``acc`` or, for
+    a new target, from complex(-0.0, -0.0), which keeps the contribution's
+    own bits; a new target is entered in ``acc`` then, so ``acc`` keeps
+    first-contribution order.  Later contributions are added in visit
+    order, and after the walk each sum is written to ``acc`` once (see
+    the module docstring).
     """
     acc_get = acc.get
     # the exact additive identity: -0.0 + x is x, bit for bit, +0.0 and -0.0 included
@@ -266,7 +279,10 @@ def _walk_edge(edge, pool, ends, budget, acc, within):
     kernels = op._kernels
     bit_masks = (0, 1 << v, 1 << u, (1 << u) | (1 << v))
     beyond = ~within
-    target_masks = [None] * NCODES
+    patterns_of = [None] * NCODES
+    # outside part -> running sums of its four targets, one per edge-bit pattern
+    sums = {}
+    sums_get = sums.get
 
     def grow(start, remaining, outside, code, coeff, denom, last, run):
         low = ends[remaining - 1]
@@ -289,28 +305,49 @@ def _walk_edge(edge, pool, ends, budget, acc, within):
             code2 = code + inc
             if not LIVE[code2]:
                 continue
-            coeff2 = coeff * value
-            denom2 = denom * (run + 1) if i == last else denom
-            weight = coeff2 / denom2 if denom2 > 1 else coeff2
-            targets = target_masks[code2]
-            if targets is None:
+            patterns = patterns_of[code2]
+            if patterns is None:
                 mes = kernels[code2]
                 if mes is None:
                     mes = edge_kernel(op, code2)
-                targets = target_masks[code2] = [(bit_masks[p], me) for p, me in mes
-                                                 if not bit_masks[p] & beyond]
+                patterns = patterns_of[code2] = [(p, me) for p, me in mes
+                                                  if not bit_masks[p] & beyond]
+            if not patterns:
+                continue
+            coeff2 = coeff * value
+            denom2 = denom * (run + 1) if i == last else denom
+            weight = coeff2 / denom2 if denom2 > 1 else coeff2
             outside2 = outside | mask
-            for bits, me in targets:
-                target = outside2 | bits
-                if not target:
-                    continue
+            slot = sums_get(outside2)
+            if slot is None:
+                slot = sums[outside2] = [None, None, None, None]
+            for p, me in patterns:
                 c = weight * me
                 if c:
-                    acc[target] = acc_get(target, zero) + c
+                    s = slot[p]
+                    if s is None:
+                        target = outside2 | bit_masks[p]
+                        if not target:
+                            continue
+                        s = acc_get(target)
+                        if s is None:
+                            # a new target takes its place in acc's order now
+                            s = acc[target] = zero
+                    slot[p] = s + c
 
     grow(0, budget, 0, 0, 1.0, 1, -1, 0)
-    # grow refers to itself; dropping it frees the pool's map of targets on return
+    # grow refers to itself; dropping it frees the pool's map of patterns on return
     grow = None
+    b1, b2, b3 = bit_masks[1:]
+    for outside, (s0, s1, s2, s3) in sums.items():
+        if s0 is not None:
+            acc[outside] = s0
+        if s1 is not None:
+            acc[outside | b1] = s1
+        if s2 is not None:
+            acc[outside | b2] = s2
+        if s3 is not None:
+            acc[outside | b3] = s3
 
 
 def _numerators(state, within):
@@ -327,7 +364,11 @@ def _numerators(state, within):
     ``within``, and the kept records stay in the bins' order, so each
     target's contributions arrive in the order the full walk adds them.
     Every target the walks reach lies in ``within``: so do its items'
-    outside parts and its pattern's edge bits.
+    outside parts and its pattern's edge bits.  The returned map holds
+    the targets in the order the walks first reached them, the order
+    ``_divide``, the installed order and its bins keep.  Each walk reads
+    a target's numerator once and writes it back once, with that edge's
+    contributions summed in between.
     """
     edges = state.model.edges
     budget = state.current_order

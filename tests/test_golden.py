@@ -41,6 +41,7 @@ GRID_CORRELATOR = "c45d538d092fb2b7a807d955fab0a9770e43d2d2b756f7b9549ab8e84bbfa
 THRESHOLD_DUMP = "46e00242c0574e0230db87f5f716fce4604e60e86e7b0136805450619f8b655e"
 THRESHOLD_COEFFICIENTS = "42ed57eb995558bcbf57ae27ade2710f35fdf8b9c247f2fdd0bef14602c43f4e"
 WALK_TABLE = "6c596395ed1c8ffea078ac48e4357e36c6712a77acd664b33cfadbb0c8cf3fc5"
+RING_WALK_TABLE = "303a6c83a84e98c22e4b281740a8b05bc9cdd20b1849a54b79ec5210d8f93f13"
 TANGENT_TABLES = "0114b56a6fd0fdcf32635d3357b9f8ba6499aeb65c5f16ae49c17bf857df2b31"
 
 
@@ -164,19 +165,24 @@ def test_walk_table_bits():
     # every bit of every stored value, in the order of each order's map:
     # that is the order in which advance_order first reached each set,
     # and each value sums the set's contributions in visit order, so the
-    # digest pins the walk's visits, multiplicity weights and folds
-    state = solve(model_from_dict(degree3_doc(1616)), 4)
-    data = bytearray()
+    # digest pins the walk's visits, multiplicity weights and folds.  The
+    # degree-3 model's top order takes about 2.8 contributions per edge and
+    # target, the 12-vertex ring's about 7.6, so the ring pins the order
+    # of many additions onto one target within an edge
+    ring = hermitian_doc([(u, (u + 1) % 12) for u in range(12)], 12, 1212)
     signed_zeros = 0
-    for q in range(1, 5):
-        for mask, value in state.table.orders[q].items():
-            value = complex(value)
-            data += struct.pack("<iQdd", q, mask, value.real, value.imag)
-            signed_zeros += any(str(part) == "-0.0" for part in (value.real, value.imag))
-    # real edges leave -0.0 parts, so the digest also pins how a first
+    for doc, order, digest in ((degree3_doc(1616), 4, WALK_TABLE), (ring, 7, RING_WALK_TABLE)):
+        state = solve(model_from_dict(doc), order)
+        data = bytearray()
+        for q in range(1, order + 1):
+            for mask, value in state.table.orders[q].items():
+                value = complex(value)
+                data += struct.pack("<iQdd", q, mask, value.real, value.imag)
+                signed_zeros += any(str(part) == "-0.0" for part in (value.real, value.imag))
+        assert _digest(bytes(data)) == digest
+    # real edges leave -0.0 parts, so the digests also pin how a first
     # contribution is stored
     assert signed_zeros > 0
-    assert _digest(bytes(data)) == WALK_TABLE
 
 
 def test_tangent_table_bits():
