@@ -125,7 +125,7 @@ def _withhold(reason):
 
 def certify_energy(series, eps, value):
     """Truncation bound of ``value``, the power sum of ``series`` at ``eps``, or None."""
-    count = sum(c for c, _norm in series.dropped)
+    count = sum(step.dropped for step in series.steps)
     if not math.isfinite(abs(value)):
         reason = "the energy value is not finite"
     elif count:

@@ -167,7 +167,7 @@ def _cmd_series(args):
         "p": order,
         "eps0": _finite_or_none(series.eps0),
         "coefficients": _coeff_pairs(series.coefficients),
-        "chi": [_finite_or_none(x) for x in series.norms],
+        "chi": [_finite_or_none(step.norm) for step in series.steps],
         "radius_estimate": _finite_or_none(radius_estimate(series)),
     }
     _emit(payload, args.json)

@@ -95,8 +95,9 @@ def energy_coefficient(state, order):
 class EnergySeries:
     """Energy coefficients 1..order with the model snapshot they came from.
 
-    ``dropped`` holds, per solved order, the (count, one-norm) of entries a
-    positive threshold left out of the table.
+    ``steps`` holds the solve's ``solver.OrderStep`` record of each order
+    the coefficients read, 1..order - 1: its one-norm and what a positive
+    threshold left out of the table.
     """
 
     coefficients: list
@@ -104,16 +105,14 @@ class EnergySeries:
     n: int
     Delta: float
     eps0: float
-    norms: list
-    hermitian: bool
-    dropped: list
+    steps: list
 
 
-def energy_series(model, order, threshold=0.0):
+def energy_series(model, order):
     """Solve to the needed order and collect E_1..E_order."""
     if order < 1:
         raise NonPositivePrecision(f"series order must be >= 1, got {order}")
-    return series_from_state(solve(model, max(order - 1, 1), threshold), order)
+    return series_from_state(solve(model, max(order - 1, 1)), order)
 
 
 def series_from_state(state, order):
@@ -126,9 +125,7 @@ def series_from_state(state, order):
         n=model.n,
         Delta=model.Delta,
         eps0=model.eps0,
-        norms=state.norms[: order - 1],
-        hermitian=model.hermitian,
-        dropped=state.dropped[: order - 1],
+        steps=state.steps[: order - 1],
     )
 
 

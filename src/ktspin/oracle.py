@@ -192,14 +192,14 @@ def expectation(state, obs, s, t):
     return num / den
 
 
-def extract_creation_coefficients(state, drop_below=0.0):
+def extract_creation_coefficients(state):
     """Creation coefficients of a state with nonzero vacuum overlap.
 
     Solves the triangular relation between set amplitudes and the
     exponential ansatz by increasing set size: the amplitude of a set
     equals the sum over partitions of products of (negated) coefficients,
     so peeling off the block holding the smallest member inverts it.
-    Returns a dict mapping vertex tuples to coefficients.
+    Returns a dict mapping vertex tuples to their nonzero coefficients.
     """
     dim = state.shape[0]
     n = dim.bit_length() - 1
@@ -225,7 +225,7 @@ def extract_creation_coefficients(state, drop_below=0.0):
     out = {}
     for m in by_weight:
         c = -g[m]
-        if c != 0 and abs(c) > drop_below:
+        if c != 0:
             members = tuple(w for w in range(n) if (m >> w) & 1)
             out[members] = complex(c)
     return out

@@ -45,8 +45,9 @@ cluster and changes the answer.
 
 The value table's order p - 1 needs less than that: for p >= 3 the
 restricted solve stores it only on the sets within p - 1 hops of
-{s, t} (``solver.advance_order`` kept to that ball), and records no
-one-norm for it.  Every reader of that order reads only such sets:
+{s, t} (``solver.advance_order`` kept to that ball), and its record
+holds that ball and no one-norm.  Every reader of that order reads
+only such sets:
 
 - the order-p step kept to {s, t} and the observable edge's last-step
   section read sets that meet {s, t}, and an order-(p-1) set is
@@ -59,9 +60,9 @@ one-norm for it.  Every reader of that order reads only such sets:
 A kept set has the uncapped value, bit for bit, and the kept sets keep
 their relative map and bin order, so every reader sees what it saw in
 the uncapped table.  At p <= 2 order p - 1 is the vacuum column (or
-none), solved whole; ``restrict=False`` solves the whole model with
-only order p kept to {s, t}.  Either way the light cone is one
-``solver.SolverState``, advanced once per order.
+none), solved whole.  The light cone is one ``solver.SolverState``,
+advanced once per order.  No query solves the whole model: the tests
+hold the restricted answers to that unrestricted solve, bit for bit.
 
 Only the tangent pass sees the observable, so a run of queries on one
 model reuses the rest:
@@ -71,11 +72,11 @@ model reuses the rest:
   renumbered submodel sharing the operator maps onto its own edges.
   So does the observable: a query walks its own operator, and its
   kernels serve the next query that holds it;
-- the model holds the last restricted light cone, keyed by (s, t, p,
-  restrict): the renumbered sites and the cone's state, and the next
-  query with the same key reuses both.  It is one entry, dropped before
-  another solve starts.  An unrestricted cone is not held: its state
-  holds the model itself, which would make a reference cycle.
+- the model holds the last light cone, keyed by (s, t, p): the
+  renumbered sites and the cone's state, and the next query with the
+  same key reuses both.  It is one entry, dropped before another solve
+  starts.  The state holds the submodel, never the model itself, so
+  the entry makes no reference cycle.
 
 Neither moves a bit.  A cached pattern's value is the float the kernel
 would compute again, from the same read-only entries in the same
@@ -183,37 +184,33 @@ def restrict_neighborhood(model, s, t, order):
     return sub, mapping
 
 
-def _light_cone_solve(model, s, t, p, restrict):
+def _light_cone_solve(model, s, t, p):
     """(s, t renumbered, value state) of a query's light cone.
 
-    One ``SolverState`` advanced once per order up to p.  Order p is kept
-    to {s, t}, and with ``restrict`` and p >= 3 order p - 1 to the sets
-    within p - 1 hops of {s, t} (see the module docstring).  The model
-    holds the last restricted entry, and a query with the same sites,
-    order and ``restrict`` reuses it.  Any other query drops it before
+    One ``SolverState`` on ``restrict_neighborhood(model, s, t, p - 1)``,
+    advanced once per order up to p.  Order p is kept to {s, t}, and for
+    p >= 3 order p - 1 to the sets within p - 1 hops of {s, t} (see the
+    module docstring).  The model holds the last entry, and a query with
+    the same sites and order reuses it.  Any other query drops it before
     it restricts and solves, so at most one such state is alive.
     """
-    key = (s, t, p, restrict)
+    key = (s, t, p)
     held = model._light_cone
     if held is not None and held[0] == key:
         return held[1:]
     # free the old state before the new solve, not after it
     held = None
     object.__setattr__(model, "_light_cone", None)
-    if restrict:
-        sub, mapping = restrict_neighborhood(model, s, t, p - 1)
-        s, t = mapping[s], mapping[t]
-    else:
-        sub = model
+    sub, mapping = restrict_neighborhood(model, s, t, p - 1)
+    s, t = mapping[s], mapping[t]
     masks = [-1] * (p - 1) + [(1 << s) | (1 << t)]
-    if restrict and p >= 3:
+    if p >= 3:
         dist = distances(AdjacencyGraph.from_model(sub), (s, t))
         masks[p - 2] = sum(1 << w for w, d in enumerate(dist) if d <= p - 1)
     state = SolverState(sub, 0.0)
     for within in masks:
         advance_order(state, within)
-    if restrict:
-        object.__setattr__(model, "_light_cone", (key, s, t, state))
+    object.__setattr__(model, "_light_cone", (key, s, t, state))
     return s, t, state
 
 
@@ -248,16 +245,16 @@ def _response_coefficients(state, edge, p):
     return out
 
 
-def correlator(model, query, restrict=True):
+def correlator(model, query):
     """Order-p correlator of a two-site observable in the ground state.
 
     The solve takes the observable as given: the response is linear in
     it, so ``certificate.observable_scale`` enters only the bound.  A NaN
     or infinite strength raises NonFiniteStrength.  Outside the certified
     regime, or when the value comes out non-finite, the bound is None
-    and a UserWarning names the reason.  The value solve of a restricted
-    query's light cone stays on the model for the next query (see the
-    module docstring).
+    and a UserWarning names the reason.  The value solve of the query's
+    light cone stays on the model for the next query (see the module
+    docstring).
     """
     n = model.n
     s, t = query.s, query.t
@@ -275,7 +272,7 @@ def correlator(model, query, restrict=True):
     if p == 0:
         ders = [obs.rows[0][0]]
     else:
-        rs, rt, state = _light_cone_solve(model, s, t, p, restrict)
+        rs, rt, state = _light_cone_solve(model, s, t, p)
         ders = _response_coefficients(state, EdgeTerm(u=rs, v=rt, op=obs), p)
 
     value = 0j

@@ -5,7 +5,9 @@ configuration, where ``C`` is a sum of creation operators over vertex
 sets with scalar coefficients.  Expanding in the perturbation strength
 gives one coefficient table per order.  ``solve`` is the one entry
 point, a ``SolverState`` advanced order by order by ``advance_order``,
-which can keep an order to the sets within a bitmask.
+which can keep an order to the sets within a bitmask.  Each step
+appends one ``OrderStep`` record to the state's ``steps``: the mask it
+was kept to, the order's one-norm, and what the threshold dropped.
 Each order is two steps, each written once.  ``_numerators`` sums the
 edge terms: order 1 reads the vacuum column of each edge term directly,
 and each later order combines up to four lower-order sets against every
@@ -32,9 +34,9 @@ to zero.  The enumeration carries the multiset as a base-5 count code
 multiset still strictly contains it, so it skips exactly the tuples
 whose kernel result is empty and sums everything else in the same order.
 
-Entries dropped by a positive threshold are counted per order, with
-their one-norm, so a caller can tell that the table is no longer the
-exact series.
+Entries dropped by a positive threshold are counted in the order's
+record, with their one-norm, so a caller can tell that the table is no
+longer the exact series.
 
 Each edge (u, v) walks a pool of candidate records: the stored sets
 that meet the edge, order by order, each order as the table's bins hold
@@ -94,6 +96,7 @@ ones that can reach them.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import combinations
 from math import isfinite
 
@@ -128,37 +131,50 @@ for _ms in _LIVE_MULTISETS:
             GROWS[_code(_sub)] = True
 
 
+@dataclass(frozen=True, slots=True)
+class OrderStep:
+    """What one ``advance_order`` step recorded about its order.
+
+    ``within`` is the bitmask the step was kept to (-1 for the whole
+    order), ``norm`` the order's one-norm (None when kept to a mask),
+    ``dropped`` the number of entries the threshold left out and
+    ``dropped_norm`` their one-norm (see ``_divide``).
+    """
+
+    within: int
+    norm: float | None
+    dropped: int
+    dropped_norm: float
+
+
 class SolverState:
     """A model and its coefficient table, resumable at the next order.
 
     A new state holds no order; each ``advance_order`` adds the next,
-    starting at order 1.  A threshold that is not a finite number >= 0
+    starting at order 1, and appends its ``OrderStep`` to ``steps``, so
+    ``steps[q - 1]`` is order q's record and ``current_order`` is
+    ``len(steps)``.  A threshold that is not a finite number >= 0
     raises InvalidThreshold (see ``_divide``).  Every edge term is
     read from ``model.edges``, and its kernels from the slots cached on
     its operator (``kernel.edge_kernel``), so the state keeps no copy of
-    either, and it keeps no cache: besides the model and its settings it
-    holds its table, the one-norm of each order and what a threshold
-    dropped from each.
+    either, and it keeps no cache: besides the model and its threshold
+    it holds its table and one record per order.
     """
 
-    __slots__ = (
-        "model",
-        "table",
-        "current_order",
-        "norms",
-        "dropped",
-        "threshold",
-    )
+    __slots__ = ("model", "table", "steps", "threshold")
 
     def __init__(self, model, threshold):
         if not (isfinite(threshold) and threshold >= 0):
             raise InvalidThreshold(f"threshold must be a finite number >= 0, got {threshold}")
         self.model = model
         self.table = CoefficientTable()
-        self.current_order = 0
-        self.norms = []
-        self.dropped = []
+        self.steps = []
         self.threshold = threshold
+
+    @property
+    def current_order(self):
+        """The highest order the table holds: one per recorded step."""
+        return len(self.steps)
 
 
 def _vacuum_column(edges):
@@ -391,19 +407,16 @@ def advance_order(state, within=-1):
 
     The next order's numerators of the sets lying in the bitmask
     ``within`` (every set, if it is -1; ``_numerators``) are divided with
-    the state's threshold (``_divide``) and installed, and the order's
-    one-norm and what the threshold dropped are recorded.  A kept set
-    gets the value an uncapped step would store, bit for bit, in the same
+    the state's threshold (``_divide``) and installed, and the step's
+    ``OrderStep`` is appended to ``state.steps``.  A kept set gets the
+    value an uncapped step would store, bit for bit, in the same
     relative map order; the one-norm of such a partial order is recorded
     as None.
     """
-    order = state.current_order + 1
     acc = _numerators(state, within)
     norm, count, lost = _divide(state.model.deltas, acc, state.threshold)
-    install_order(state.table, order, acc)
-    state.current_order = order
-    state.norms.append(norm if within == -1 else None)
-    state.dropped.append((count, lost))
+    install_order(state.table, state.current_order + 1, acc)
+    state.steps.append(OrderStep(within, norm if within == -1 else None, count, lost))
     return state
 
 

@@ -6,7 +6,10 @@ compute what the package computes, so that a test can compare the two:
 - ``table_insert``, the eager one-entry writer whose bins
   ``setalg.install_order`` must reproduce;
 - ``one_norm``, the per-vertex one-norm that ``solver._divide`` records
-  in ``SolverState.norms``;
+  as ``SolverState.steps[q - 1].norm`` for order q;
+- ``whole_model_correlator``, a correlator solved on the whole model
+  with no light-cone restriction, whose answers the restricted
+  ``response.correlator`` must equal bit for bit;
 - ``numeric_series``, a least-squares fit of the exact energy curve, the
   check of the energy coefficients against exact energies at moderate
   strength;
@@ -21,8 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ktspin.certificate import certify_correlator, observable_scale
+from ktspin.model import EdgeTerm
 from ktspin.oracle import QUBIT_CAP, _check_size, _norm_scale, ground
+from ktspin.response import CorrelatorResult, _response_coefficients
 from ktspin.setalg import _check_set, members_of
+from ktspin.solver import SolverState, advance_order
 
 
 def table_insert(table, order, mask, value):
@@ -58,6 +65,29 @@ def one_norm(table, order):
         if total > best:
             best = total
     return best
+
+
+def whole_model_correlator(model, query):
+    """``response.correlator``'s answer to ``query`` (order >= 1), from the whole model.
+
+    A whole-model ``SolverState`` advanced with order p kept to {s, t}
+    and every lower order whole, then the same response coefficients,
+    power sum and certificate as the correlator.  Neither the sites nor
+    the model are renumbered, and nothing is held on the model.
+    """
+    s, t, p, eps = query.s, query.t, query.order, query.epsilon
+    obs = query.observable
+    state = SolverState(model, 0.0)
+    for within in [-1] * (p - 1) + [(1 << s) | (1 << t)]:
+        advance_order(state, within)
+    ders = _response_coefficients(state, EdgeTerm(u=s, v=t, op=obs), p)
+    value = 0j
+    power = 1.0
+    for der in ders:
+        value = value + der * power
+        power = power * eps
+    regime, bound = certify_correlator(model, eps, p, value, observable_scale(model, obs))
+    return CorrelatorResult(value=value, bound=bound, regime=regime, coefficients=ders, order=p)
 
 
 @dataclass

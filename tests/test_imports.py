@@ -1,4 +1,4 @@
-"""What the package imports and defines: no scipy off the oracle's sparse route, no oracle outside verify, no unused names."""
+"""What the package imports and defines: no scipy off the oracle's sparse route, no oracle outside verify, no unused names or defaults."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from ktspin import save_model
 from conftest import random_model, topology_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 # A fresh interpreter imports the package, runs one command of each kind
 # through cli.main, and prints the scipy modules it has loaded, and whether
@@ -150,3 +151,84 @@ def test_every_public_definition_is_used_or_exported(tmp_path):
                      "VALUE = Used()\n")
     found = _unreferenced_definitions(modules + [stray], private=False)
     assert [entry for entry in found if entry.startswith("stray.py")] == ["stray.py:1 reference"]
+
+
+def _defaulted_parameters(tree):
+    """(callable name, parameter, position, line) of each defaulted parameter in a parsed module.
+
+    A method's position counts its arguments after ``self`` (or ``cls``),
+    and a class's ``__init__`` is named by the class, as its callers
+    call it.  A keyword-only parameter has position None.
+    """
+    owners = {
+        id(item): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        name = owner if owner and node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner and not static else 0
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            out.append((name, positional[i].arg, i - skip, node.lineno))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None, node.lineno))
+    return out
+
+
+def _passes(call, parameter, position):
+    """Whether ``call`` passes ``parameter``: by keyword, by position, or through * or **."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed_defaults(modules, callers):
+    """``module:line name(parameter)`` of each defaulted parameter no call in ``callers`` passes.
+
+    A call is matched to a definition by name, called plainly or as an
+    attribute, so a parameter counts as passed if any call of that name
+    passes it.
+    """
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, parameter, position, line in _defaulted_parameters(tree):
+            if not any(_passes(call, parameter, position) for call in calls.get(name, ())):
+                out.append(f"{path.name}:{line} {name}({parameter})")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_package_or_benchmark_code(tmp_path):
+    # a default that only tests override is a setting no command can reach
+    modules = sorted((SRC / "ktspin").glob("*.py"))
+    callers = modules + sorted(PERFBENCH.glob("*.py"))
+    assert modules and len(callers) > len(modules)
+    assert _unpassed_defaults(modules, callers) == []
+    # the scan sees a parameter only tests set, and counts one passed by
+    # position, by keyword, and to a class's __init__
+    stray = tmp_path / "stray.py"
+    stray.write_text(
+        "def stray_scaled(x, factor=1.0):\n    return x * factor\n\n\n"
+        "def stray_shifted(x, by=0.0, *, sign=1):\n    return sign * (x + by)\n\n\n"
+        "class StrayBox:\n    def __init__(self, size=1):\n        self.size = size\n\n\n"
+        "VALUES = (stray_scaled(2.0), stray_shifted(1.0, 2.0, sign=-1), StrayBox(3))\n"
+    )
+    assert _unpassed_defaults([stray], callers + [stray]) == ["stray.py:1 stray_scaled(factor)"]

@@ -41,6 +41,7 @@ from conftest import (
     tf_edge_model,
     topology_pairs,
 )
+from reference_impl import whole_model_correlator
 
 
 def zi():
@@ -155,8 +156,8 @@ def test_restriction_is_bit_identical(rng):
     obs = random_hermitian_op(rng)
     for order in (2, 3):
         q = query(3, 5, obs, m.eps0_star / (2 * m.d), order)
-        full = correlator(m, q, restrict=False)
-        cut = correlator(m, q, restrict=True)
+        full = whole_model_correlator(m, q)
+        cut = correlator(m, q)
         assert cut.value == full.value
         assert cut.coefficients == full.coefficients
         assert cut.bound == full.bound
@@ -168,8 +169,8 @@ def test_restriction_is_bit_identical(rng):
         for s, t in ((0, 1), (3, 5), (2, 6)):
             for order in range(1, 6):
                 q = query(s, t, obs, m.eps0_star / (2 * m.d), order)
-                full = correlator(m, q, restrict=False)
-                cut = correlator(m, q, restrict=True)
+                full = whole_model_correlator(m, q)
+                cut = correlator(m, q)
                 assert cut.value == full.value, (s, t, order)
                 assert cut.coefficients == full.coefficients, (s, t, order)
 
@@ -197,9 +198,9 @@ def test_restriction_is_bit_identical_at_the_benchmark_scale():
     pairs.append((far, (far + 2) % n))
     for s, t in pairs:
         # both observables per side: the restricted side solves each cone
-        # once, and the unrestricted one, which is not held, once per query
-        full = [correlator(m, query(s, t, obs, eps, 4), restrict=False) for obs in observables]
-        cut = [correlator(m, query(s, t, obs, eps, 4), restrict=True) for obs in observables]
+        # once, and the whole-model reference once per query
+        full = [whole_model_correlator(m, query(s, t, obs, eps, 4)) for obs in observables]
+        cut = [correlator(m, query(s, t, obs, eps, 4)) for obs in observables]
         for a, b in zip(cut, full):
             assert a.value == b.value, (s, t)
             assert a.coefficients == b.coefficients, (s, t)
@@ -208,9 +209,9 @@ def test_restriction_is_bit_identical_at_the_benchmark_scale():
 
 def test_the_held_light_cone_caps_its_top_order(rng):
     # the held state stores order p only on {s}, {t} and {s, t}, and for
-    # p >= 3 order p - 1 only within p - 1 hops of the sites; it records no
-    # one-norm for a capped order, and keeps every other order of the
-    # uncapped cone
+    # p >= 3 order p - 1 only within p - 1 hops of the sites; a capped
+    # order's record holds its mask and no one-norm, and every other order
+    # of the uncapped cone is kept whole, record included
     cut_somewhere = False
     for m in (random_model(rng, grid_pairs(4, 4), 16),
               random_model(rng, topology_pairs("ring", 14), 14)):
@@ -220,13 +221,15 @@ def test_the_held_light_cone_caps_its_top_order(rng):
             for p in range(1, 6):
                 correlator(m, query(s, t, obs, eps, p))
                 key, rs, rt, state = m._light_cone
-                assert key == (s, t, p, True)
+                assert key == (s, t, p)
                 sub, mapping = restrict_neighborhood(m, s, t, p - 1)
                 assert (rs, rt) == (mapping[s], mapping[t])
-                assert state.model.n == sub.n and state.current_order == p
+                assert state.model.n == sub.n
+                assert state.current_order == len(state.steps) == p
                 uncapped = solve(sub, p)
                 whole = p - 1 if p <= 2 else p - 2
-                assert state.norms[:whole] == uncapped.norms[:whole]
+                assert state.steps[:whole] == uncapped.steps[:whole]
+                assert all(step.within == -1 for step in state.steps[:whole])
                 for q in range(1, whole + 1):
                     assert (list(state.table.orders[q].items())
                             == list(uncapped.table.orders[q].items()))
@@ -234,14 +237,17 @@ def test_the_held_light_cone_caps_its_top_order(rng):
                     dist = distances(AdjacencyGraph.from_model(sub), (rs, rt))
                     top = state.table.orders[p - 1]
                     full = uncapped.table.orders[p - 1]
-                    assert state.norms[p - 2] is None
+                    ball = sum(1 << w for w, d in enumerate(dist) if d <= p - 1)
+                    assert state.steps[p - 2].within == ball
+                    assert state.steps[p - 2].norm is None
                     assert list(top.items()) == [
                         (mask, value) for mask, value in full.items()
                         if all(dist[w] <= p - 1 for w in members_of(mask))
                     ]
                     cut_somewhere |= len(top) < len(full)
                 sites = (1 << rs, 1 << rt, (1 << rs) | (1 << rt))
-                assert state.norms[p - 1] is None
+                assert state.steps[p - 1].within == sites[2]
+                assert state.steps[p - 1].norm is None
                 assert list(state.table.orders.get(p, {}).items()) == [
                     (mask, value) for mask, value in uncapped.table.orders.get(p, {}).items()
                     if mask in sites
@@ -261,12 +267,6 @@ def test_a_query_and_a_solve_leave_no_reference_cycles(rng):
         assert gc.collect() == 0
         state = solve(m, 4)
         del state
-        assert gc.collect() == 0
-        # an unrestricted cone's state holds the model itself, so the model
-        # does not hold that cone, and dropping the model frees both
-        correlator(m, query(0, 1, obs, m.eps0_star / (2 * m.d), 4), restrict=False)
-        assert m._light_cone is None
-        del m
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -301,7 +301,7 @@ def test_warm_operators_give_the_cold_answers(rng):
             sub, _mapping = restrict_neighborhood(m, s, t, 3)
             cold_sub, _mapping = restrict_neighborhood(_cold_copy(m), s, t, 3)
             warm_state, cold_state = solve(sub, 4), solve(cold_sub, 4)
-            assert warm_state.norms == cold_state.norms
+            assert warm_state.steps == cold_state.steps
             for q in range(1, 5):
                 assert (list(warm_state.table.orders.get(q, {}).items())
                         == list(cold_state.table.orders.get(q, {}).items()))
@@ -314,9 +314,8 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
     other = random_hermitian_op(rng)
     eps = m.eps0_star / (2 * m.d)
     a, b = (2, 3), (7, 9)
-    # (sites, observable, order, restrict): only the second can reuse a solve
-    sequence = [(a, zz, 4, True), (a, other, 4, True), (b, zz, 4, True),
-                (a, zz, 4, True), (a, zz, 3, True), (a, zz, 4, False)]
+    # (sites, observable, order): only the second can reuse a solve
+    sequence = [(a, zz, 4), (a, other, 4), (b, zz, 4), (a, zz, 4), (a, zz, 3)]
     states, steps = [], []
 
     def state_spy(model, threshold):
@@ -332,23 +331,21 @@ def test_adjacent_queries_on_the_same_light_cone_share_one_solve(monkeypatch):
     monkeypatch.setattr(response, "SolverState", state_spy)
     monkeypatch.setattr(response, "advance_order", step_spy)
     calls, answers = [], []
-    for (s, t), obs, p, restrict in sequence:
+    for (s, t), obs, p in sequence:
         before = (len(states), len(steps))
-        answers.append(correlator(m, query(s, t, obs, eps, p), restrict=restrict))
+        answers.append(correlator(m, query(s, t, obs, eps, p)))
         built = steps[before[1]:]
         assert built in ([], list(range(1, p + 1)))
         calls.append((len(states) - before[0], built.count(p)))
     # the site values are the held state's last order: the second query
     # builds neither a state nor an order step
-    assert calls == [(1, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1)]
+    assert calls == [(1, 1), (0, 0), (1, 1), (1, 1), (1, 1)]
     monkeypatch.undo()
-    for ((s, t), obs, p, restrict), warm in zip(sequence, answers):
-        cold = correlator(_cold_copy(m), query(s, t, obs, eps, p), restrict=restrict)
+    for ((s, t), obs, p), warm in zip(sequence, answers):
+        cold = correlator(_cold_copy(m), query(s, t, obs, eps, p))
         assert warm.value == cold.value
         assert warm.coefficients == cold.coefficients
         assert (warm.bound, warm.regime) == (cold.bound, cold.regime)
-    # the last query is unrestricted: it dropped the held entry and holds none
-    assert m._light_cone is None
 
 
 def test_correlator_restricts_to_its_light_cone(monkeypatch):

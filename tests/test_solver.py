@@ -29,6 +29,16 @@ from conftest import (
 from reference_impl import connected_size, one_norm
 
 
+def norms(state):
+    """The one-norm each order step recorded, order by order."""
+    return [step.norm for step in state.steps]
+
+
+def dropped(state):
+    """(count, one-norm) of the entries each order step's threshold left out."""
+    return [(step.dropped, step.dropped_norm) for step in state.steps]
+
+
 def test_single_flip_singleton_series():
     # exact per-site expansion: -x + x^3 - 2 x^5 + 5 x^7 (signed Catalan numbers)
     state = solve(tf_edge_model(), 7)
@@ -66,7 +76,7 @@ def test_diagonal_model_stays_empty(rng):
     m = random_diagonal_model(rng, 5, topology_pairs("path", 5))
     state = solve(m, 5)
     assert state.table.orders == {}
-    assert state.norms == [0.0] * 5
+    assert norms(state) == [0.0] * 5
 
 
 def test_solve_rejects_bad_order():
@@ -75,12 +85,12 @@ def test_solve_rejects_bad_order():
 
 
 def test_threshold_drops_small_entries():
-    assert solve(tf_edge_model(), 3).dropped == [(0, 0.0)] * 3
+    assert dropped(solve(tf_edge_model(), 3)) == [(0, 0.0)] * 3
     state = solve(tf_edge_model(), 3, threshold=1.1)
     # |C_1| = 1 < 1.1 is dropped, so nothing can seed the higher orders
     assert state.table.orders == {}
     # both singletons go at order 1, each the only set on its vertex
-    assert state.dropped == [(2, 1.0), (0, 0.0), (0, 0.0)]
+    assert dropped(state) == [(2, 1.0), (0, 0.0), (0, 0.0)]
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), -float("inf")])
@@ -99,21 +109,23 @@ def test_state_rejects_a_bad_threshold(threshold):
 
 def test_a_fresh_state_advances_from_order_one(rng):
     # advance_order on a new state builds order 1 from the edge columns,
-    # so a hand-driven state equals solve in tables, key order and norms
+    # so a hand-driven state equals solve in tables, key order and records
     for m, order in ((tf_edge_model(), 3), (random_model(rng, topology_pairs("ring", 6), 6), 4)):
         state = SolverState(m, 0.0)
-        for _ in range(order):
+        assert state.current_order == len(state.steps) == 0
+        for q in range(1, order + 1):
             advance_order(state)
+            assert state.current_order == len(state.steps) == q
         want = solve(m, order)
-        assert state.current_order == order
-        assert state.norms == want.norms
-        assert state.dropped == want.dropped
+        assert want.current_order == len(want.steps) == order
+        assert state.steps == want.steps
+        assert all(step.within == -1 for step in state.steps)
         for q in range(1, order + 1):
             got = state.table.orders.get(q, {})
             assert list(got.items()) == list(want.table.orders.get(q, {}).items())
         assert state.table.bins == want.table.bins
-    assert state.norms[0] > 0
-    assert solve(tf_edge_model(), 3).norms == [1.0, 0.0, 1.0]
+    assert norms(state)[0] > 0
+    assert norms(solve(tf_edge_model(), 3)) == [1.0, 0.0, 1.0]
 
 
 def test_threshold_drops_some_entries(rng):
@@ -133,7 +145,7 @@ def test_threshold_drops_some_entries(rng):
         for w in range(m.n):
             in_bin = table.bins.get(w, {}).get(q, [])
             assert in_bin == [mask for mask in omap if mask >> w & 1]
-        assert state.norms[q - 1] == one_norm(table, q)
+        assert state.steps[q - 1].norm == one_norm(table, q)
         # the same order frozen without a threshold, from the same lower orders
         if q == 1:
             exact = solve(m, 1).table.orders[1]
@@ -148,23 +160,26 @@ def test_threshold_drops_some_entries(rng):
         for mask in gone:
             for w in members_of(mask):
                 per_vertex[w] = per_vertex.get(w, 0.0) + abs(exact[mask])
-        assert state.dropped[q - 1] == (len(gone), max(per_vertex.values(), default=0.0))
+        assert dropped(state)[q - 1] == (len(gone), max(per_vertex.values(), default=0.0))
         if q >= 2:
             assert 0 < len(gone) and 0 < len(omap)
 
 
 def test_a_finished_state_holds_only_its_table(rng):
     # no cache rides along: the model, its table, the solve's settings and
-    # what each order's freeze recorded
+    # one record per order step; the order reached is the records' count,
+    # read, never stored
     m = random_model(rng, topology_pairs("ring", 7), 7)
     p = 4
     state = solve(m, p)
-    assert SolverState.__slots__ == (
-        "model", "table", "current_order", "norms", "dropped", "threshold",
-    )
+    assert SolverState.__slots__ == ("model", "table", "steps", "threshold")
     assert not hasattr(state, "__dict__")
     assert max(mask.bit_count() for mask in state.table.orders[p]) == p + 1
-    assert len(state.norms) == len(state.dropped) == p
+    assert state.current_order == len(state.steps) == p
+    with pytest.raises(AttributeError):
+        state.current_order = p + 1
+    with pytest.raises(AttributeError):
+        state.steps[0].norm = 0.0
 
 
 def test_outputs_never_index_the_last_order(rng):
@@ -193,8 +208,8 @@ def test_advance_after_a_dump_continues_the_solve(rng):
     want = solve(m, 5)
     for q in range(1, 6):
         assert list(state.table.orders[q].items()) == list(want.table.orders[q].items())
-    assert state.norms == want.norms
-    assert state.dropped == want.dropped
+    assert state.current_order == len(state.steps) == 5
+    assert state.steps == want.steps
     assert state.table.bins == want.table.bins
 
 
@@ -274,9 +289,9 @@ def test_tangent_pass_needs_the_lower_orders(rng):
 def test_norms_track_one_norm(rng):
     m = random_model(rng, topology_pairs("ring", 5), 5)
     state = solve(m, 4)
-    assert len(state.norms) == 4
+    assert len(state.steps) == 4
     for q in range(1, 5):
-        assert state.norms[q - 1] == one_norm(state.table, q)
+        assert state.steps[q - 1].norm == one_norm(state.table, q)
 
 
 def test_sets_fit_in_small_connected_clusters(rng):
@@ -299,7 +314,7 @@ def test_reruns_are_identical(rng):
     a = solve(m, 5)
     b = solve(m, 5)
     assert a.table.orders == b.table.orders
-    assert a.norms == b.norms
+    assert norms(a) == norms(b)
 
 
 def _with_edge(m, s, t, mat):
@@ -352,10 +367,10 @@ def test_advance_order_resumes_incrementally(rng):
     state = solve(m, 1)
     for _ in range(3):
         advance_order(state)
-    assert state.current_order == 4
+    assert state.current_order == len(state.steps) == 4
     full = solve(m, 4)
     assert state.table.orders == full.table.orders
-    assert state.norms == full.norms
+    assert norms(state) == norms(full)
 
 
 def test_coefficients_match_exact_ground_state(rng):
